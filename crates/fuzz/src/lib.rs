@@ -32,4 +32,4 @@ pub mod runner;
 pub mod sched;
 pub mod state;
 
-pub use runner::{run, FuzzReport, Mode, RunConfig};
+pub use runner::{lock, run, FuzzReport, Mode, ProcessLock, RunConfig};

@@ -5,6 +5,7 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use tpot_smt::TermArena;
@@ -275,7 +276,42 @@ fn run_one(mode: Mode, seed: u64, iter: u64) -> Result<Agreement, Box<Failure>> 
     }
 }
 
+/// Serializes fuzz runs within one process.
+///
+/// The `counter_parity` oracle compares per-POT SAT counters with the
+/// process-wide `sat.*` registry, and every mode runs under the global
+/// `tpot_obs` configuration, so a run must not overlap another thread's
+/// solving or reconfiguration. [`run`] takes the lock for its duration; a
+/// caller that reconfigures `tpot_obs` between runs (as the tracing-parity
+/// test does) takes it with [`lock`] and runs through the guard.
+static PROCESS_LOCK: Mutex<()> = Mutex::new(());
+
+/// The process-wide fuzz lock, held until dropped.
+pub struct ProcessLock {
+    _guard: MutexGuard<'static, ()>,
+}
+
+/// Takes the process-wide fuzz lock, waiting for other runs to finish.
+pub fn lock() -> ProcessLock {
+    // The mutex guards no data, so a run that panicked (a failing test)
+    // leaves nothing inconsistent behind.
+    ProcessLock {
+        _guard: PROCESS_LOCK.lock().unwrap_or_else(PoisonError::into_inner),
+    }
+}
+
+impl ProcessLock {
+    /// Runs the fuzzer under this lock.
+    pub fn run(&self, cfg: &RunConfig) -> FuzzReport {
+        run_locked(cfg)
+    }
+}
+
 pub fn run(cfg: &RunConfig) -> FuzzReport {
+    lock().run(cfg)
+}
+
+fn run_locked(cfg: &RunConfig) -> FuzzReport {
     let _span = tpot_obs::span_args(
         "fuzz",
         "run",

@@ -102,8 +102,9 @@ fn outcome_key(results: &[tpot_engine::PotResult]) -> Vec<String> {
 /// a shard's work (a drain race, a missed fork boundary, a stolen task's
 /// counters landing twice). Exact at any worker count — this is the
 /// "attribution is exact only at jobs=1" caveat, retired. The check
-/// assumes no *other* thread is solving concurrently (true in the fuzz
-/// binary, where modes run one at a time).
+/// assumes no *other* thread is solving concurrently: modes run one at a
+/// time, and [`crate::runner::run`] holds a process-wide lock, so two runs
+/// in one process (say, two tests) never overlap.
 pub fn counter_parity(rng: &mut Rng) -> Result<(), String> {
     let src = gen_src(rng);
     let checked = tpot_cfront::compile(&src)

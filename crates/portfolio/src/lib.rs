@@ -69,7 +69,7 @@ pub type SharedCache = Arc<Mutex<ProofCache>>;
 ///
 /// Folds every knob that changes *which answers the solver can give* —
 /// inprocessing, clause-DB tiering, restart schedule, conflict and theory
-/// budgets, core minimization, LIA branching — and deliberately excludes
+/// budgets, LIA branching — and deliberately excludes
 /// pure identity/diversification state: seeds, names, sinks and cancel
 /// flags never affect a Sat/Unsat verdict (an `Unknown` is never cached),
 /// so keying on them would only fragment the cache across portfolio
@@ -85,7 +85,6 @@ pub fn solver_config_digest(cfg: &tpot_solver::SolverConfig) -> u64 {
     h = mix(h, cfg.lia.max_nodes);
     h = mix(h, cfg.lia.branch_lowest_index as u64);
     h = mix(h, cfg.max_theory_rounds);
-    h = mix(h, cfg.minimize_cores as u64);
     h
 }
 

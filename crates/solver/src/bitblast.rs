@@ -3,7 +3,8 @@
 //! Every bitvector term becomes a little-endian vector of SAT literals;
 //! boolean terms become single literals via Tseitin encoding. Integer atoms
 //! (`IntLe` after preprocessing) are *not* translated — they become opaque
-//! theory literals collected in [`BitBlaster::atoms`] for the DPLL(T) loop.
+//! theory literals collected in [`BitBlaster::atoms`] for the DPLL(T) loop,
+//! each compiled into the blaster's LIA context as its literal is created.
 //!
 //! The circuits are the textbook ones: ripple-carry adders, shift-add
 //! multipliers, restoring dividers, barrel shifters, and borrow-chain
@@ -18,6 +19,7 @@ use tpot_sat::{Lit, Solver};
 use tpot_smt::{Kind, Sort, TermArena, TermId};
 
 use crate::error::SolverError;
+use crate::lia::IncLia;
 use crate::linexpr::{extract_linear, LeAtom};
 
 /// Bit-blasting context that owns its SAT solver.
@@ -42,8 +44,11 @@ pub struct BitBlaster {
     bool_cache: HashMap<TermId, Lit>,
     gate_cache: HashMap<(u8, Lit, Lit), Lit>,
     true_lit: Option<Lit>,
-    /// Collected integer theory atoms: SAT literal ↔ normalized `≤`-atom.
-    pub atoms: Vec<(Lit, LeAtom)>,
+    /// Literals of the integer theory atoms; `atoms[i]` is atom `i` of the
+    /// blaster's LIA context.
+    pub atoms: Vec<Lit>,
+    /// The LIA context every theory atom is registered with.
+    pub(crate) lia: IncLia,
     atom_cache: HashMap<TermId, Lit>,
     /// Number of terms lowered to CNF (cache misses in `bv_bits` /
     /// `bool_lit`). Sessions read the delta per check to attribute
@@ -68,6 +73,7 @@ impl BitBlaster {
             gate_cache: HashMap::new(),
             true_lit: None,
             atoms: Vec::new(),
+            lia: IncLia::new(),
             atom_cache: HashMap::new(),
             terms_blasted: 0,
             elim_epoch: 0,
@@ -616,10 +622,12 @@ impl BitBlaster {
                         } else {
                             // Theory atoms participate in blocking clauses
                             // and explanations; they must stay frozen.
+                            let id = self.lia.register(&atom)?;
+                            debug_assert_eq!(id, self.atoms.len());
                             let v = self.sat.new_var();
                             self.sat.freeze(v);
                             let l = Lit::pos(v);
-                            self.atoms.push((l, atom));
+                            self.atoms.push(l);
                             self.atom_cache.insert(t, l);
                             l
                         }

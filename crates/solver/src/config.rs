@@ -21,9 +21,6 @@ pub struct SolverConfig {
     /// Maximum DPLL(T) iterations (SAT model → theory check round-trips)
     /// before returning `Unknown`.
     pub max_theory_rounds: u64,
-    /// Whether to minimize LIA conflict cores by greedy deletion before
-    /// learning a blocking clause (sharper clauses, more LIA calls).
-    pub minimize_cores: bool,
 }
 
 impl Default for SolverConfig {
@@ -33,7 +30,6 @@ impl Default for SolverConfig {
             sat: SatConfig::default(),
             lia: LiaConfig::default(),
             max_theory_rounds: 100_000,
-            minimize_cores: true,
         }
     }
 }
@@ -44,13 +40,13 @@ impl SolverConfig {
     /// configurations times 8 seeds.
     pub fn portfolio(n: usize) -> Vec<SolverConfig> {
         let mut out = Vec::new();
-        let bases: [(&str, SatConfig, bool); 3] = [
-            ("default", SatConfig::default(), true),
-            ("aggressive", SatConfig::aggressive(), false),
-            ("stable", SatConfig::stable(), true),
+        let bases: [(&str, SatConfig); 3] = [
+            ("default", SatConfig::default()),
+            ("aggressive", SatConfig::aggressive()),
+            ("stable", SatConfig::stable()),
         ];
         for i in 0..n {
-            let (bname, sat, minimize) = &bases[i % bases.len()];
+            let (bname, sat) = &bases[i % bases.len()];
             let seed = 0x5eed_0000u64 + (i as u64) * 0x9e37;
             out.push(SolverConfig {
                 name: format!("{bname}-{i}"),
@@ -60,7 +56,6 @@ impl SolverConfig {
                     ..LiaConfig::default()
                 },
                 max_theory_rounds: 100_000,
-                minimize_cores: *minimize,
             });
         }
         out
@@ -77,6 +72,6 @@ mod tests {
         assert_eq!(p.len(), 6);
         let seeds: std::collections::HashSet<u64> = p.iter().map(|c| c.sat.seed).collect();
         assert_eq!(seeds.len(), 6, "every instance must have a distinct seed");
-        assert!(p.iter().any(|c| !c.minimize_cores));
+        assert!(p.iter().any(|c| !c.lia.branch_lowest_index));
     }
 }

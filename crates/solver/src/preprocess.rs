@@ -124,19 +124,13 @@ impl IncPreprocess {
                 arena,
                 t,
                 &mut self.sel_map,
+                &mut self.sels,
                 &mut self.cache2,
             )?);
         }
         cur = next;
-        // New select congruence axioms (new pairs only). The sel lists grow
-        // monotonically in discovery order; re-sync them from sel_map.
+        // New select congruence axioms (new pairs only).
         let mut axioms: Vec<TermId> = Vec::new();
-        for (&(arr, idx), &var) in &self.sel_map {
-            let list = self.sels.entry(arr).or_default();
-            if !list.iter().any(|&(i, _)| i == idx) {
-                list.push((idx, var));
-            }
-        }
         let mut arrays: Vec<TermId> = self.sels.keys().copied().collect();
         arrays.sort_unstable();
         for arr in arrays {
@@ -283,11 +277,13 @@ fn select_through(arena: &mut TermArena, arr: TermId, idx: TermId) -> Result<Ter
     }
 }
 
-/// Replaces `select(A, i)` (A a base array variable) by a fresh variable.
+/// Replaces `select(A, i)` (A a base array variable) by a fresh variable,
+/// appending each new one to `sels[A]` in discovery order.
 fn ackermannize_selects(
     arena: &mut TermArena,
     t: TermId,
     sel_map: &mut HashMap<(TermId, TermId), TermId>,
+    sels: &mut HashMap<TermId, Vec<(TermId, TermId)>>,
     cache: &mut HashMap<TermId, TermId>,
 ) -> Result<TermId, SolverError> {
     if let Some(&r) = cache.get(&t) {
@@ -296,7 +292,7 @@ fn ackermannize_selects(
     let node = arena.term(t).clone();
     let mut args = Vec::with_capacity(node.args.len());
     for &a in &node.args {
-        args.push(ackermannize_selects(arena, a, sel_map, cache)?);
+        args.push(ackermannize_selects(arena, a, sel_map, sels, cache)?);
     }
     let r = if node.kind == Kind::Select {
         let (arr, idx) = (args[0], args[1]);
@@ -311,6 +307,7 @@ fn ackermannize_selects(
             let name = format!("sel!{}!{}", arr.0, idx.0);
             let v = arena.var(&name, esort);
             sel_map.insert((arr, idx), v);
+            sels.entry(arr).or_default().push((idx, v));
             v
         }
     } else if args == node.args {
@@ -461,6 +458,29 @@ mod tests {
         let out = preprocess(&mut a, &[asrt]).unwrap();
         // Original assertion + one congruence axiom.
         assert_eq!(out.assertions.len(), 2);
+    }
+
+    /// Select congruence axioms follow the order the selects were found in,
+    /// so two fresh preprocessors print the same query.
+    #[test]
+    fn select_axioms_are_deterministic() {
+        let printed = || {
+            let mut a = TermArena::new();
+            let arr = a.var("m", Sort::byte_array());
+            let zero = a.bv_const(8, 0);
+            let asserts: Vec<TermId> = (0..24)
+                .map(|k| {
+                    let i = a.var(&format!("i{k}"), Sort::BitVec(64));
+                    let sel = a.select(arr, i);
+                    a.neq(sel, zero)
+                })
+                .collect();
+            let delta = IncPreprocess::new().process(&mut a, &asserts).unwrap();
+            assert_eq!(delta.defs.len(), 24 * 23 / 2, "one axiom per pair");
+            let all: Vec<TermId> = delta.assertions.into_iter().chain(delta.defs).collect();
+            tpot_smt::print::to_smtlib(&a, &all)
+        };
+        assert_eq!(printed(), printed());
     }
 
     #[test]

@@ -11,8 +11,16 @@
 //!   append-only);
 //! * learned clauses are retained across checks (they are implied by the
 //!   permanent clause set, see below);
-//! * the simplex template is extended with new linear forms instead of being
-//!   rebuilt per check.
+//! * theory atoms are compiled into the LIA context once, when they are
+//!   blasted, and the simplex keeps its basis from check to check.
+//!
+//! # The DPLL(T) round
+//!
+//! A round is one SAT solve followed by theory checks of the model's atoms.
+//! When the simplex finds a conflict, the session learns its blocking clause,
+//! drops the conflict's newest atom and checks the rest again, so one model
+//! yields every conflict it shows before the next SAT solve. The answer is
+//! Sat only when a check over every atom is.
 //!
 //! # Scope semantics
 //!
@@ -49,8 +57,7 @@ use tpot_smt::{eval, FuncId, Kind, Model, Sort, TermArena, TermId, Value};
 use crate::bitblast::BitBlaster;
 use crate::config::SolverConfig;
 use crate::error::SolverError;
-use crate::lia::{IncLia, LiaOutcome};
-use crate::linexpr::LeAtom;
+use crate::lia::LiaOutcome;
 use crate::preprocess::{IncPreprocess, UfApp};
 use crate::smt::SmtResult;
 
@@ -64,6 +71,18 @@ pub struct SessionStats {
     pub pops: u64,
     /// Clauses physically reclaimed by scope GC on `pop`.
     pub clauses_gced: u64,
+}
+
+/// How a theory round over one SAT model ended.
+enum TheoryRound {
+    /// Every atom is consistent; the integer model of the check.
+    Sat(HashMap<TermId, i128>),
+    /// The theory gave up before any conflict was learned.
+    Unknown,
+    /// At least one blocking clause was learned; solve again.
+    Learned,
+    /// A blocking clause is false at decision level 0.
+    Refuted,
 }
 
 /// One open assertion scope.
@@ -118,7 +137,6 @@ pub struct SolveSession {
     pub config: SolverConfig,
     bb: BitBlaster,
     pre: IncPreprocess,
-    lia: IncLia,
     scopes: Vec<Scope>,
     /// Lifetime counters.
     pub stats: SessionStats,
@@ -135,7 +153,6 @@ impl SolveSession {
             config,
             bb: BitBlaster::new(sat),
             pre: IncPreprocess::new(),
-            lia: IncLia::new(),
             scopes: Vec::new(),
             stats: SessionStats::default(),
             last_unsat: None,
@@ -294,39 +311,62 @@ impl SolveSession {
             if self.bb.atoms.is_empty() {
                 return self.sat_result(arena, need_model, &HashMap::new());
             }
-            // Collect the effective theory atoms under the SAT model. Atoms
-            // introduced by scopes popped since are still present; their
-            // literals are unconstrained, so the model (or saved phase)
-            // picks a polarity and the theory check treats them like any
-            // other atom — at worst this learns extra theory-valid blocking
-            // clauses over them.
-            let mut effective: Vec<LeAtom> = Vec::with_capacity(self.bb.atoms.len());
-            let mut polarity: Vec<bool> = Vec::with_capacity(self.bb.atoms.len());
-            for (lit, atom) in &self.bb.atoms {
-                let asserted = self.bb.sat.model_value(lit.var()) == lit.is_pos();
-                polarity.push(asserted);
-                effective.push(if asserted {
-                    atom.clone()
-                } else {
-                    atom.negate()?
-                });
-            }
-            match self.lia.check(&effective, &self.config.lia)? {
-                LiaOutcome::Sat(int_model) => {
+            // Every theory atom under the SAT model. Atoms introduced by
+            // scopes popped since are still present; their literals are
+            // unconstrained, so the model (or saved phase) picks a polarity
+            // and the theory check treats them like any other atom — at
+            // worst this learns extra theory-valid blocking clauses.
+            let sat = &self.bb.sat;
+            let lits: Vec<(usize, bool)> = self
+                .bb
+                .atoms
+                .iter()
+                .map(|l| sat.model_value(l.var()) == l.is_pos())
+                .enumerate()
+                .collect();
+            match self.theory_round(lits)? {
+                TheoryRound::Sat(int_model) => {
                     return self.sat_result(arena, need_model, &int_model);
                 }
-                LiaOutcome::Unknown => return Ok(SmtResult::Unknown),
-                LiaOutcome::Unsat(mut core) => {
-                    if self.config.minimize_cores && core.len() <= 20 {
-                        core = minimize_core(&effective, core, &self.config)?;
-                    }
+                TheoryRound::Unknown => return Ok(SmtResult::Unknown),
+                TheoryRound::Learned => {}
+                TheoryRound::Refuted => {
+                    // A blocking clause conflicted at level 0: the proof
+                    // ends in the empty clause. No assumption was needed,
+                    // so the attributed core is empty.
+                    self.record_unsat_attribution();
+                    self.verify_proof(&[])?;
+                    return Ok(SmtResult::Unsat);
+                }
+            }
+        }
+    }
+
+    /// Checks one SAT model's theory atoms (`(atom, polarity)` in atom
+    /// order) and learns a blocking clause for every conflict it shows.
+    ///
+    /// After each conflict the core's newest atom is dropped and the rest
+    /// checked again. The round ends when the rest is consistent, when the
+    /// theory gives up, or when the core is the whole checked set (a
+    /// branch-and-bound refutation names every atom).
+    fn theory_round(&mut self, mut lits: Vec<(usize, bool)>) -> Result<TheoryRound, SolverError> {
+        let mut learned = false;
+        loop {
+            match self.bb.lia.check(&lits, &self.config.lia)? {
+                LiaOutcome::Sat(_) | LiaOutcome::Unknown if learned => {
+                    return Ok(TheoryRound::Learned)
+                }
+                LiaOutcome::Sat(int_model) => return Ok(TheoryRound::Sat(int_model)),
+                LiaOutcome::Unknown => return Ok(TheoryRound::Unknown),
+                LiaOutcome::Unsat(core) => {
                     // Blocking clause: at least one core atom must flip. The
                     // clause is theory-valid, hence permanent (unguarded).
                     let clause: Vec<Lit> = core
                         .iter()
                         .map(|&i| {
-                            let l = self.bb.atoms[i].0;
-                            if polarity[i] {
+                            let (atom, polarity) = lits[i];
+                            let l = self.bb.atoms[atom];
+                            if polarity {
                                 l.negate()
                             } else {
                                 l
@@ -334,13 +374,15 @@ impl SolveSession {
                         })
                         .collect();
                     if !self.bb.sat.add_clause(&clause) {
-                        // The blocking clause conflicted at level 0: the
-                        // proof ends in the empty clause. No assumption was
-                        // needed, so the attributed core is empty.
-                        self.record_unsat_attribution();
-                        self.verify_proof(&[])?;
-                        return Ok(SmtResult::Unsat);
+                        return Ok(TheoryRound::Refuted);
                     }
+                    learned = true;
+                    if core.len() == lits.len() {
+                        return Ok(TheoryRound::Learned);
+                    }
+                    // `lits` is in atom order, so the core's highest index
+                    // is its newest atom.
+                    lits.remove(*core.iter().max().expect("cores are non-empty"));
                 }
             }
         }
@@ -412,30 +454,6 @@ impl SolveSession {
         )?;
         Ok(SmtResult::Sat(model))
     }
-}
-
-/// Greedy deletion-based minimization of a LIA conflict core.
-///
-/// Runs on one-shot LIA checks (a fresh context per trial): the trials
-/// remove atoms, which the incremental template cannot express.
-fn minimize_core(
-    effective: &[LeAtom],
-    mut core: Vec<usize>,
-    config: &SolverConfig,
-) -> Result<Vec<usize>, SolverError> {
-    let mut i = 0;
-    while i < core.len() && core.len() > 1 {
-        let mut trial = core.clone();
-        trial.remove(i);
-        let atoms: Vec<LeAtom> = trial.iter().map(|&k| effective[k].clone()).collect();
-        match crate::lia::solve_lia(&atoms, &config.lia)? {
-            LiaOutcome::Unsat(_) => {
-                core = trial;
-            }
-            _ => i += 1,
-        }
-    }
-    Ok(core)
 }
 
 /// Reconstructs a full [`Model`] from SAT bits, LIA values, and the
@@ -819,6 +837,36 @@ mod tests {
         s.set_sink(None);
         assert!(s.check(&mut a, false).unwrap().is_unsat());
         assert_eq!(sink.load().solves, got.solves);
+    }
+
+    /// One SAT model that shows two independent LIA conflicts yields both
+    /// blocking clauses before the next SAT solve.
+    #[test]
+    fn one_model_learns_every_conflict() {
+        let mut cfg = SolverConfig::default();
+        // Every decision sets its variable true, so the first model makes
+        // all four atoms true: x <= 0 ∧ x >= 5 and y <= 0 ∧ y >= 5.
+        cfg.sat.default_phase = true;
+        let mut a = TermArena::new();
+        let x = a.var("ix", Sort::Int);
+        let y = a.var("iy", Sort::Int);
+        let c0 = a.int_const(0);
+        let c5 = a.int_const(5);
+        let x_le0 = a.int_le(x, c0);
+        let x_ge5 = a.int_le(c5, x);
+        let y_le0 = a.int_le(y, c0);
+        let y_ge5 = a.int_le(c5, y);
+        let any = a.or(&[x_le0, x_ge5, y_le0, y_ge5]);
+        let mut s = SolveSession::new(cfg);
+        s.assert(&mut a, any).unwrap();
+        let before = s.sat_stats().solves;
+        match s.check(&mut a, true).unwrap() {
+            SmtResult::Sat(m) => assert_model_satisfies(&a, &m, &[any]),
+            other => panic!("expected sat: {other:?}"),
+        }
+        // Solve 1 shows both conflicts and learns both clauses; solve 2
+        // finds a consistent model. One clause per solve would take three.
+        assert_eq!(s.sat_stats().solves - before, 2);
     }
 
     #[test]

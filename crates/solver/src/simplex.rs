@@ -7,6 +7,11 @@
 //! rule (guaranteeing termination). Conflicts carry the *tags* of the
 //! contributing bounds so the DPLL(T) layer can learn small blocking
 //! clauses.
+//!
+//! Bounds can be retracted all at once ([`Simplex::clear_bounds`]) while
+//! the basis and the assignment stay: the assignment satisfies the tableau
+//! whatever the bounds, so the next `check` starts from the previous
+//! check's basis instead of the original one.
 
 use std::collections::BTreeMap;
 
@@ -44,6 +49,8 @@ pub struct Simplex {
     upper: Vec<Bound>,
     beta: Vec<Rat>,
     is_basic: Vec<bool>,
+    /// Variables given a bound since the last `clear_bounds` (may repeat).
+    bounded: Vec<usize>,
     /// Statistics: pivots performed.
     pub num_pivots: u64,
 }
@@ -123,6 +130,7 @@ impl Simplex {
             value: Some(bound),
             tag,
         };
+        self.bounded.push(v);
         if !self.is_basic[v] && self.beta[v] > bound {
             self.update_nonbasic(v, bound)?;
         }
@@ -150,10 +158,21 @@ impl Simplex {
             value: Some(bound),
             tag,
         };
+        self.bounded.push(v);
         if !self.is_basic[v] && self.beta[v] < bound {
             self.update_nonbasic(v, bound)?;
         }
         Ok(None)
+    }
+
+    /// Retracts every asserted bound, keeping the basis and the
+    /// assignment. With no bounds left nothing is violated, so the solver
+    /// invariant holds and new bounds can be asserted at once.
+    pub fn clear_bounds(&mut self) {
+        for v in self.bounded.drain(..) {
+            self.lower[v] = Bound::default();
+            self.upper[v] = Bound::default();
+        }
     }
 
     fn bound_conflict(&self, v: usize, new_tag: Option<usize>, against_lower: bool) -> Conflict {

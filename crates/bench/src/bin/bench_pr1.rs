@@ -1,13 +1,11 @@
-//! PR 1 performance harness: sequential vs parallel multi-POT verification
-//! and cone-of-influence slicing savings, written to `BENCH_PR1.json` in
-//! the unified `tpot-bench/v1` schema (see `tpot_bench::report`).
+//! The `bench_pr1` harness: sequential vs parallel multi-POT verification,
+//! written to `BENCH_PR1.json` in the unified `tpot-bench/v1` schema (see
+//! `tpot_bench::report`).
 //!
 //! For each selected target it runs `Verifier::verify` with `jobs: 1` (the
 //! deterministic sequential baseline) and with the configured job count
-//! (the shared-cache worker-pool driver), checks the two report identical
-//! POT outcomes, and records wall-clock plus the slicing counters (terms
-//! and approximate bytes shipped to solver instances versus the full arena
-//! each instance used to clone).
+//! (the shared-cache work-stealing driver), checks the two report identical
+//! POT outcomes, and records wall-clock plus the engine counters.
 //!
 //! Usage: `bench_pr1 [target-fragment ...] [--jobs N] [--out PATH]`
 //! (default: the three small targets, `TPOT_JOBS`/core-count jobs,
@@ -75,14 +73,13 @@ fn main() {
         let stats = merged_stats(&par);
         println!(
             "{}: {} POTs, sequential {:.0} ms, parallel {:.0} ms ({:.2}x), \
-             slicing shipped {}/{} terms, outcomes match: {}",
+             {} queries, outcomes match: {}",
             t.name,
             seq.len(),
             sequential_ms,
             parallel_ms,
             sequential_ms / parallel_ms.max(1e-9),
-            stats.terms_shipped,
-            stats.terms_total,
+            stats.num_queries,
             matches
         );
         let mut row = TargetReport::new(t.name);

@@ -4,22 +4,22 @@
 //! Two in-process phases over the same POTs, same module, same solver
 //! portfolio — only `EngineConfig::incremental` differs:
 //!
-//! 1. **One-shot** — `incremental: false`. Every path query is sliced to
-//!    its cone of influence and solved from scratch; `terms_shipped` counts
-//!    the terms serialized and re-blasted per query.
+//! 1. **One-shot** — `incremental: false`. Every path query runs in a
+//!    fresh session that is dropped afterwards, so
+//!    `session_reblasted_terms` counts each query's whole cone.
 //! 2. **Incremental** — `incremental: true` (the production default).
 //!    Path queries route through [`SolveSession`]s keyed by path prefix;
 //!    `session_reblasted_terms` counts only the terms newly asserted into
-//!    a session (the incremental analogue of `terms_shipped`). Span
-//!    collection is forced on so the reported wall-clock is the traced one.
+//!    a kept session. Span collection is forced on so the reported
+//!    wall-clock is the traced one.
 //!
 //! The harness asserts the invariants PR 5 promises:
 //!
 //! - **Parity**: incremental and one-shot verification outcomes are
 //!   identical (same POTs, same statuses).
 //! - **Reuse**: sessions actually hit (`session_hits > 0`) and the
-//!   re-blasted-terms ratio (incremental `session_reblasted_terms` over
-//!   one-shot `terms_shipped`) is below 0.5 — reusing an asserted prefix
+//!   re-blasted-terms ratio (incremental over one-shot
+//!   `session_reblasted_terms`) is below 0.5 — reusing an asserted prefix
 //!   must save more than half the per-query re-blasting work.
 //!
 //! Usage: `bench_pr5 [target-fragment ...] [--skip-pot FRAG] [--smoke]
@@ -80,7 +80,7 @@ fn main() {
     let mut tot_hits = 0u64;
     let mut tot_misses = 0u64;
     let mut tot_reblasted = 0u64;
-    let mut tot_oneshot_shipped = 0u64;
+    let mut tot_oneshot_reblasted = 0u64;
     for t in all_targets() {
         if !select
             .iter()
@@ -129,16 +129,16 @@ fn main() {
         let parity = outcomes_match(&oneshot, &incremental);
         let checks = inc_stats.session_hits + inc_stats.session_misses;
         let hit_rate = inc_stats.session_hits as f64 / checks.max(1) as f64;
-        let reblast_ratio =
-            inc_stats.session_reblasted_terms as f64 / oneshot_stats.terms_shipped.max(1) as f64;
+        let reblast_ratio = inc_stats.session_reblasted_terms as f64
+            / oneshot_stats.session_reblasted_terms.max(1) as f64;
         println!(
-            "{}: {} POTs, one-shot {:.0} ms ({} terms shipped), incremental \
+            "{}: {} POTs, one-shot {:.0} ms ({} terms re-blasted), incremental \
              {:.0} ms traced ({} terms re-blasted, {:.1}% session hit rate, \
              {} fallbacks), re-blast ratio {:.3}, parity: {}",
             t.name,
             pots.len(),
             oneshot_ms,
-            oneshot_stats.terms_shipped,
+            oneshot_stats.session_reblasted_terms,
             incremental_ms,
             inc_stats.session_reblasted_terms,
             100.0 * hit_rate,
@@ -162,7 +162,10 @@ fn main() {
         row.field("oneshot_ms", num(oneshot_ms));
         row.field("incremental_traced_ms", num(incremental_ms));
         row.field("trace_events", int(events.len() as u64));
-        row.field("oneshot_terms_shipped", int(oneshot_stats.terms_shipped));
+        row.field(
+            "oneshot_reblasted_terms",
+            int(oneshot_stats.session_reblasted_terms),
+        );
         row.field("session_hits", int(inc_stats.session_hits));
         row.field("session_misses", int(inc_stats.session_misses));
         row.field("session_fallbacks", int(inc_stats.session_fallbacks));
@@ -178,7 +181,7 @@ fn main() {
         tot_hits += inc_stats.session_hits;
         tot_misses += inc_stats.session_misses;
         tot_reblasted += inc_stats.session_reblasted_terms;
-        tot_oneshot_shipped += oneshot_stats.terms_shipped;
+        tot_oneshot_reblasted += oneshot_stats.session_reblasted_terms;
     }
 
     if report.targets.is_empty() {
@@ -187,14 +190,14 @@ fn main() {
     }
 
     let hit_rate = tot_hits as f64 / (tot_hits + tot_misses).max(1) as f64;
-    let reblast_ratio = tot_reblasted as f64 / tot_oneshot_shipped.max(1) as f64;
+    let reblast_ratio = tot_reblasted as f64 / tot_oneshot_reblasted.max(1) as f64;
     let reblast_ok = reblast_ratio < 0.5;
     report.summary("parity", Value::Bool(all_parity));
     report.summary("session_hits", int(tot_hits));
     report.summary("session_misses", int(tot_misses));
     report.summary("session_hit_rate", num(hit_rate));
     report.summary("session_reblasted_terms", int(tot_reblasted));
-    report.summary("oneshot_terms_shipped", int(tot_oneshot_shipped));
+    report.summary("oneshot_reblasted_terms", int(tot_oneshot_reblasted));
     report.summary("reblast_ratio", num(reblast_ratio));
     report.summary("reblast_ok", Value::Bool(reblast_ok));
     report.summary("peak_rss_kb", int(peak_rss_kb()));
@@ -209,7 +212,7 @@ fn main() {
     assert!(tot_hits > 0, "no path query ever reused a solve session");
     assert!(
         reblast_ok,
-        "incremental re-blasted {tot_reblasted} terms vs {tot_oneshot_shipped} \
-         shipped one-shot (ratio {reblast_ratio:.3}, need < 0.5)"
+        "incremental re-blasted {tot_reblasted} terms vs {tot_oneshot_reblasted} \
+         one-shot (ratio {reblast_ratio:.3}, need < 0.5)"
     );
 }

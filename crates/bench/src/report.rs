@@ -19,8 +19,6 @@
 //! live in one place and a report round-trips through the same parser the
 //! trace tooling uses.
 
-use std::time::Duration;
-
 use tpot_engine::{PotResult, PotStatus, Stats};
 use tpot_obs::json::Value;
 
@@ -183,7 +181,6 @@ pub fn peak_rss_kb() -> u64 {
 /// The engine [`Stats`] fields every harness reports per target, in one
 /// canonical naming.
 pub fn stats_fields(st: &Stats) -> Vec<(String, Value)> {
-    let ms = |d: Duration| num((d.as_secs_f64() * 1e3 * 10.0).round() / 10.0);
     vec![
         ("queries".to_string(), int(st.num_queries)),
         ("serializations".to_string(), int(st.num_serializations)),
@@ -191,11 +188,6 @@ pub fn stats_fields(st: &Stats) -> Vec<(String, Value)> {
         ("branch_queries".to_string(), int(st.branch_queries)),
         ("assertion_queries".to_string(), int(st.assertion_queries)),
         ("simplify_queries".to_string(), int(st.simplify_queries)),
-        ("terms_total".to_string(), int(st.terms_total)),
-        ("terms_shipped".to_string(), int(st.terms_shipped)),
-        ("arena_bytes_total".to_string(), int(st.bytes_total)),
-        ("arena_bytes_shipped".to_string(), int(st.bytes_shipped)),
-        ("queue_wait_ms".to_string(), ms(st.queue_wait)),
         ("paths".to_string(), int(st.paths)),
         ("forks".to_string(), int(st.forks)),
         ("fork_bytes_shared".to_string(), int(st.fork_bytes_shared)),

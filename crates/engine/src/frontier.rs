@@ -104,8 +104,7 @@ impl<'m> Shard<'m> {
 
     /// Deep-clones the shard for a stolen task (steal protocol): copies
     /// the arena (dominating every term the stolen state references) and
-    /// hands off the solve sessions; shares the persistent query cache and
-    /// worker pool.
+    /// hands off the solve sessions; shares the persistent query cache.
     pub fn split(&self) -> Shard<'m> {
         Shard::new(self.0.lock().clone_for_shard())
     }

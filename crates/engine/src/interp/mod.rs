@@ -48,10 +48,10 @@ pub struct EngineConfig {
     pub simplifier: bool,
     /// Number of portfolio instances (1 = single solver).
     pub portfolio_size: usize,
-    /// Route queries through incremental [`tpot_solver::SolveSession`]s
-    /// (push/pop along the path prefix, bit-blast reuse). Only engages for
-    /// single-instance portfolios; racing portfolios fall back to one-shot
-    /// checks regardless. Disabling it is an ablation.
+    /// Keep incremental [`tpot_solver::SolveSession`]s between queries
+    /// (push/pop along the path prefix, bit-blast reuse). Disabling it is
+    /// the one-shot ablation: each query runs in a fresh session that is
+    /// dropped afterwards. Racing portfolios never use sessions.
     pub incremental: bool,
     /// Optional persistent query-cache path (§4.4).
     pub cache_path: Option<std::path::PathBuf>,
@@ -177,12 +177,13 @@ impl<'m> ExecCtx<'m> {
         // recorded under one addr-mode/session/portfolio configuration
         // must never answer a query issued under another.
         let portfolio = portfolio
+            .keep_sessions(config.incremental)
             .with_config_salt(solver_cache_digest(&config))
             .with_shared_cache(cache);
         ExecCtx {
             module,
             arena: TermArena::new(),
-            solver: QueryCtx::new(portfolio).with_incremental(config.incremental),
+            solver: QueryCtx::new(portfolio),
             config,
             insts_executed: 0,
         }

@@ -51,41 +51,15 @@ impl From<SolverError> for EngineError {
     }
 }
 
-/// Portfolio-side counters folded into [`Stats`] snapshots. Kept as a
-/// last-seen copy so [`QueryCtx::take_stats`] can hand out *deltas*: the
-/// path scheduler drains a shard's stats after every task episode and
-/// attributes the delta to that task's POT.
-#[derive(Clone, Copy, Default)]
-struct FoldMark {
-    serializations: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    terms_total: u64,
-    terms_shipped: u64,
-    bytes_total: u64,
-    bytes_shipped: u64,
-    queue_wait: std::time::Duration,
-    session_hits: u64,
-    session_misses: u64,
-    session_fallbacks: u64,
-    session_reblasted: u64,
-    sat: tpot_sat::SolveStats,
-}
-
 /// Purpose-tagged query context.
 pub struct QueryCtx {
     /// The underlying portfolio.
     pub portfolio: Portfolio,
     /// Accumulated statistics.
     pub stats: Stats,
-    /// Route queries through the portfolio's incremental session broker
-    /// (path prefix pushed/popped, only the branch condition re-blasted).
-    incremental: bool,
-    /// Portfolio counters already handed out by [`Self::take_stats`].
-    taken: FoldMark,
     /// Set by [`Self::clone_for_shard`] to the inherited sessions' blasted
-    /// term total: the next incremental check is the first query after a
-    /// session handoff, and its re-blast delta over this baseline is the
+    /// term total: the next check is the first query after a session
+    /// handoff, and its re-blast delta over this baseline is the
     /// per-migration handoff cost (`sched.handoff_*` counters). `None`
     /// when no handoff is pending; `Some(0)` (nothing inherited — e.g. a
     /// migrated root) records no handoff.
@@ -100,14 +74,11 @@ pub struct QueryCtx {
 }
 
 impl QueryCtx {
-    /// Wraps a portfolio. Incremental sessions start disabled; enable them
-    /// with [`with_incremental`](Self::with_incremental).
+    /// Wraps a portfolio.
     pub fn new(portfolio: Portfolio) -> Self {
         QueryCtx {
             portfolio,
             stats: Stats::default(),
-            incremental: false,
-            taken: FoldMark::default(),
             handoff_inherited: None,
             blame_on: tpot_obs::config().blame.unwrap_or(false),
             blame: BlameAcc::default(),
@@ -115,30 +86,19 @@ impl QueryCtx {
     }
 
     /// Clones this context for a stolen execution shard: shared persistent
-    /// cache and worker pool, deep-cloned solve sessions (the
-    /// longest-common-prefix handoff), fresh counters. The clone's first
-    /// incremental check reports its re-blast delta as handoff cost.
+    /// cache, deep-cloned solve sessions (the longest-common-prefix
+    /// handoff), fresh counters. The clone's first check reports its
+    /// re-blast delta as handoff cost.
     pub fn clone_for_shard(&self) -> Self {
         let portfolio = self.portfolio.clone_for_shard();
         let inherited = portfolio.sessions.total_terms_blasted();
         QueryCtx {
             portfolio,
             stats: Stats::default(),
-            incremental: self.incremental,
-            taken: FoldMark::default(),
             handoff_inherited: Some(inherited),
             blame_on: self.blame_on,
             blame: self.blame.clone_tags(),
         }
-    }
-
-    /// Enables (or disables) the incremental-session query path. The engine
-    /// sets this from [`EngineConfig::incremental`](crate::interp::EngineConfig);
-    /// the portfolio still falls back to one-shot checks whenever sessions
-    /// don't apply (racing portfolios, session `Unknown`, solver errors).
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
-        self
     }
 
     fn run(
@@ -170,37 +130,24 @@ impl QueryCtx {
         let _watch = tpot_obs::watchdog::register(fp, text);
         let t1 = Instant::now();
         // The query arrives as `path-prefix ∧ extra`: the prefix is shared
-        // with sibling queries along the same execution path, so the
-        // incremental route hands it to the session broker, which pops to
-        // the common prefix and re-blasts only the new terms. The broker
-        // falls back to the one-shot path internally when sessions don't
-        // apply; both routes share `fp`-keyed cache entries.
-        let r = if self.incremental && !assertions.is_empty() {
-            let (prefix, last) = assertions.split_at(assertions.len() - 1);
-            let handoff = self.handoff_inherited.take();
-            let reblast0 = self.portfolio.sessions.stats.reblasted_terms;
-            let r = self
-                .portfolio
-                .check_incremental(arena, prefix, last[0], need_model, fp)?;
-            if let Some(inherited) = handoff {
-                if inherited > 0 {
-                    // First query after a session handoff: the re-blast
-                    // delta is what migration cost on top of the inherited
-                    // sessions, whose blasted-prefix size is the baseline a
-                    // from-scratch session would have re-paid in full. A
-                    // migration that inherited empty sessions (e.g. a
-                    // stolen root) has no handoff to measure.
-                    let delta = self.portfolio.sessions.stats.reblasted_terms - reblast0;
-                    tpot_obs::metrics::counter("sched.handoff_reblast_terms").add(delta);
-                    tpot_obs::metrics::counter("sched.handoff_baseline_terms").add(inherited);
-                    tpot_obs::metrics::counter("sched.handoffs_measured").inc();
-                }
-            }
-            r
-        } else {
-            self.portfolio
-                .check_fingerprinted(arena, assertions, need_model, fp)?
-        };
+        // with sibling queries along the same execution path, so a kept
+        // session pops to the common prefix and re-blasts only the new
+        // terms.
+        let (&extra, prefix) = assertions.split_last().expect("a query asserts something");
+        let handoff = self.handoff_inherited.take();
+        let reblast0 = self.portfolio.counts.reblasted_terms;
+        let r = self.portfolio.check(arena, prefix, extra, need_model, fp)?;
+        if let Some(inherited) = handoff.filter(|&n| n > 0) {
+            // First query after a session handoff: the re-blast delta is
+            // what migration cost on top of the inherited sessions, whose
+            // blasted-prefix size is the baseline a from-scratch session
+            // would have re-paid in full. A migration that inherited empty
+            // sessions (e.g. a stolen root) has no handoff to measure.
+            let delta = self.portfolio.counts.reblasted_terms - reblast0;
+            tpot_obs::metrics::counter("sched.handoff_reblast_terms").add(delta);
+            tpot_obs::metrics::counter("sched.handoff_baseline_terms").add(inherited);
+            tpot_obs::metrics::counter("sched.handoffs_measured").inc();
+        }
         if self.blame_on {
             // An Unsat through the session broker carries the assumption
             // core mapped back to asserted prefix terms, plus per-term
@@ -237,67 +184,20 @@ impl QueryCtx {
         self.blame.take_entries()
     }
 
-    /// The engine stats plus the portfolio-side counters (slicing savings,
-    /// queue wait, any portfolio-internal serializations) folded in.
-    pub fn stats_snapshot(&self) -> Stats {
-        let mut s = self.stats.clone();
-        let ps = &self.portfolio.stats;
-        s.num_serializations += ps.serializations;
-        s.cache_hits = ps.cache_hits;
-        s.cache_misses = ps.cache_misses;
-        s.terms_total = ps.terms_total;
-        s.terms_shipped = ps.terms_shipped;
-        s.bytes_total = ps.bytes_total;
-        s.bytes_shipped = ps.bytes_shipped;
-        s.queue_wait = ps.queue_wait;
-        let ss = &self.portfolio.sessions.stats;
-        s.session_hits = ss.hits;
-        s.session_misses = ss.misses;
-        s.session_fallbacks = ss.fallbacks;
-        s.session_reblasted_terms = ss.reblasted_terms;
-        s.add_sat_delta(self.portfolio.sat_totals());
-        s
-    }
-
     /// Drains the stats accumulated since the previous `take_stats` call,
-    /// portfolio counters folded in as deltas. Summing every delta a shard
-    /// ever hands out reproduces [`Self::stats_snapshot`] — this is how the
-    /// path scheduler attributes one shard's work to the interleaved POTs
-    /// it served.
+    /// with the portfolio's counts folded in. Summing every record a shard
+    /// ever hands out gives its whole run — this is how the path scheduler
+    /// attributes one shard's work to the interleaved POTs it served.
     pub fn take_stats(&mut self) -> Stats {
         let mut s = std::mem::take(&mut self.stats);
-        let ps = &self.portfolio.stats;
-        let ss = &self.portfolio.sessions.stats;
-        let now = FoldMark {
-            serializations: ps.serializations,
-            cache_hits: ps.cache_hits,
-            cache_misses: ps.cache_misses,
-            terms_total: ps.terms_total,
-            terms_shipped: ps.terms_shipped,
-            bytes_total: ps.bytes_total,
-            bytes_shipped: ps.bytes_shipped,
-            queue_wait: ps.queue_wait,
-            session_hits: ss.hits,
-            session_misses: ss.misses,
-            session_fallbacks: ss.fallbacks,
-            session_reblasted: ss.reblasted_terms,
-            sat: self.portfolio.sat_totals(),
-        };
-        let prev = self.taken;
-        s.num_serializations += now.serializations - prev.serializations;
-        s.cache_hits = now.cache_hits - prev.cache_hits;
-        s.cache_misses = now.cache_misses - prev.cache_misses;
-        s.terms_total = now.terms_total - prev.terms_total;
-        s.terms_shipped = now.terms_shipped - prev.terms_shipped;
-        s.bytes_total = now.bytes_total - prev.bytes_total;
-        s.bytes_shipped = now.bytes_shipped - prev.bytes_shipped;
-        s.queue_wait = now.queue_wait.saturating_sub(prev.queue_wait);
-        s.session_hits = now.session_hits - prev.session_hits;
-        s.session_misses = now.session_misses - prev.session_misses;
-        s.session_fallbacks = now.session_fallbacks - prev.session_fallbacks;
-        s.session_reblasted_terms = now.session_reblasted - prev.session_reblasted;
-        s.add_sat_delta(now.sat.delta(prev.sat));
-        self.taken = now;
+        let c = std::mem::take(&mut self.portfolio.counts);
+        s.cache_hits = c.cache_hits;
+        s.cache_misses = c.cache_misses;
+        s.session_hits = c.session_hits;
+        s.session_misses = c.session_misses;
+        s.session_fallbacks = c.session_fallbacks;
+        s.session_reblasted_terms = c.reblasted_terms;
+        s.add_sat_delta(c.sat);
         s
     }
 
@@ -419,25 +319,23 @@ mod tests {
                 QueryPurpose::Assertions
             )
             .unwrap());
-        // The engine serializes once per query; the portfolio, handed the
-        // fingerprint, must not serialize at all.
-        assert_eq!(q.stats.num_serializations, q.stats.num_queries);
-        assert_eq!(q.portfolio.stats.serializations, 0);
-        let snap = q.stats_snapshot();
-        assert_eq!(snap.num_serializations, snap.num_queries);
-        assert_eq!(snap.branch_queries, 1);
-        assert_eq!(snap.assertion_queries, 1);
-        assert!(snap.terms_shipped > 0 && snap.terms_shipped <= snap.terms_total);
+        // The engine serializes once per query and hands the portfolio the
+        // fingerprint.
+        let s = q.take_stats();
+        assert_eq!(s.num_serializations, s.num_queries);
+        assert_eq!(s.branch_queries, 1);
+        assert_eq!(s.assertion_queries, 1);
+        assert!(s.sat_solves >= 2, "raced work reaches the drained stats");
     }
 
     #[test]
-    fn incremental_sessions_answer_path_queries() {
+    fn sessions_answer_path_queries() {
         let mut a = TermArena::new();
         let x = a.var("x", Sort::Int);
         let zero = a.int_const(0);
         let one = a.int_const(1);
         let pos = a.int_lt(zero, x);
-        let mut q = QueryCtx::new(Portfolio::single()).with_incremental(true);
+        let mut q = QueryCtx::new(Portfolio::single());
         let on_pos = PathCond::from(vec![pos]);
         let gt1 = a.int_lt(one, x);
         assert!(q
@@ -447,15 +345,16 @@ mod tests {
         assert!(q
             .is_valid(&mut a, &on_pos, ge, QueryPurpose::Assertions)
             .unwrap());
-        // Same serialize-once invariant as the one-shot path.
-        assert_eq!(q.stats.num_serializations, q.stats.num_queries);
-        assert_eq!(q.portfolio.stats.serializations, 0);
-        let bs = &q.portfolio.sessions.stats;
-        assert!(bs.hits + bs.misses >= 2);
+        let s = q.take_stats();
+        assert_eq!(s.num_serializations, s.num_queries);
+        assert_eq!(s.session_hits + s.session_misses, 2);
         assert!(
-            bs.hits >= 1,
+            s.session_hits >= 1,
             "second query along the same path must reuse a session"
         );
+        // A drain leaves nothing behind for the next one.
+        let again = q.take_stats();
+        assert_eq!(again.num_queries + again.session_hits + again.sat_solves, 0);
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! The work-stealing path scheduler: forked execution states are the unit
 //! of scheduling.
 //!
-//! [`run_verify`] replaces the old per-POT fan-out (one thread = one POT,
-//! each running the recursive depth-first loop) with a single shared pool
-//! of [`PathTask`]s drawn from *all* requested POTs:
+//! `run_verify` runs one shared pool of [`PathTask`]s drawn from *all*
+//! requested POTs, rather than one thread per POT running the recursive
+//! depth-first loop:
 //!
 //! - every worker owns a LIFO deque; it pops from the back (depth-first,
 //!   cache-hot, matching the old recursion order) and parks fork siblings
 //!   there for others to steal;
 //! - an empty worker steals the *front* half (`ceil(len/2)`) of a victim's
 //!   deque — the shallowest, largest-subtree tasks — with the victim chosen
-//!   by a per-worker seeded xorshift generator ([`StealRng`]), so a given
+//!   by a per-worker seeded xorshift generator (`StealRng`), so a given
 //!   `(seed, jobs)` pair replays the same steal schedule;
 //! - stolen tasks are rebound to a deep clone of their shard
 //!   ([`Shard::split`]), one clone per distinct shard per steal batch; the

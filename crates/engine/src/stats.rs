@@ -47,13 +47,11 @@ pub struct Stats {
     pub assertion_time: Duration,
     /// Time serializing queries for the portfolio (§4.4).
     pub serialization_time: Duration,
-    /// Everything else (interpretation, state management).
-    pub other_time: Duration,
     /// Total number of solver queries.
     pub num_queries: u64,
     /// SMT-LIB serializations performed. The pipeline serializes each query
     /// exactly once (for fingerprinting + Fig. 7 accounting), so this equals
-    /// `num_queries`; the portfolio's own `serializations` counter stays 0.
+    /// `num_queries`.
     pub num_serializations: u64,
     /// Queries issued for pointer resolution.
     pub pointer_queries: u64,
@@ -63,28 +61,17 @@ pub struct Stats {
     pub assertion_queries: u64,
     /// Queries issued by the query simplifier.
     pub simplify_queries: u64,
-    /// Cone-of-influence slicing: terms in the full arena, summed over
-    /// solver-bound queries (what per-instance clones used to copy).
-    pub terms_total: u64,
-    /// Terms actually shipped to solver instances after slicing.
-    pub terms_shipped: u64,
-    /// Approximate full-arena bytes, summed over solver-bound queries.
-    pub bytes_total: u64,
-    /// Approximate bytes shipped after slicing.
-    pub bytes_shipped: u64,
-    /// Time queries spent waiting in the worker-pool queue.
-    pub queue_wait: Duration,
     /// Queries answered by an existing incremental solve session (the
     /// session broker found a usable asserted prefix).
     pub session_hits: u64,
     /// Queries that had to open a fresh solve session.
     pub session_misses: u64,
-    /// Sessions retired mid-query (Unknown or error), falling back to the
-    /// one-shot path.
+    /// Reused sessions retired mid-query (Unknown or error), whose query
+    /// was retried once in a fresh session.
     pub session_fallbacks: u64,
-    /// Terms bit-blasted by sessions, cache misses only — the incremental
-    /// analogue of `terms_shipped` (a one-shot check re-blasts the whole
-    /// sliced query; a session re-blasts only what push/pop exposed).
+    /// Terms bit-blasted by sessions, cache misses only (a fresh session
+    /// blasts the query's whole cone; a reused one only what push/pop
+    /// exposed).
     pub session_reblasted_terms: u64,
     /// Queries answered straight from the persistent proof cache (keyed by
     /// fingerprint + solver-config digest; no solver ran). Together with
@@ -187,16 +174,6 @@ impl Stats {
         }
     }
 
-    /// Total accounted time.
-    pub fn total(&self) -> Duration {
-        self.simplify_time
-            + self.pointer_time
-            + self.branch_time
-            + self.assertion_time
-            + self.serialization_time
-            + self.other_time
-    }
-
     /// Merges another stats record into this one.
     pub fn merge(&mut self, o: &Stats) {
         self.simplify_time += o.simplify_time;
@@ -204,18 +181,12 @@ impl Stats {
         self.branch_time += o.branch_time;
         self.assertion_time += o.assertion_time;
         self.serialization_time += o.serialization_time;
-        self.other_time += o.other_time;
         self.num_queries += o.num_queries;
         self.num_serializations += o.num_serializations;
         self.pointer_queries += o.pointer_queries;
         self.branch_queries += o.branch_queries;
         self.assertion_queries += o.assertion_queries;
         self.simplify_queries += o.simplify_queries;
-        self.terms_total += o.terms_total;
-        self.terms_shipped += o.terms_shipped;
-        self.bytes_total += o.bytes_total;
-        self.bytes_shipped += o.bytes_shipped;
-        self.queue_wait += o.queue_wait;
         self.session_hits += o.session_hits;
         self.session_misses += o.session_misses;
         self.session_fallbacks += o.session_fallbacks;
@@ -262,11 +233,6 @@ impl Stats {
         counter("engine.queries.assertions").add(self.assertion_queries);
         counter("engine.queries.simplify").add(self.simplify_queries);
         counter("engine.serializations").add(self.num_serializations);
-        counter("engine.slice.terms_total").add(self.terms_total);
-        counter("engine.slice.terms_shipped").add(self.terms_shipped);
-        counter("engine.slice.bytes_total").add(self.bytes_total);
-        counter("engine.slice.bytes_shipped").add(self.bytes_shipped);
-        counter("engine.queue_wait_us").add(us(self.queue_wait));
         counter("engine.cache_hits").add(self.cache_hits);
         counter("engine.cache_misses").add(self.cache_misses);
         counter("engine.raw_cache_hits").add(self.raw_cache_hits);
@@ -283,19 +249,26 @@ impl Stats {
         // double-count in the registry dump.
     }
 
-    /// Percentage breakdown in the paper's Figure 7 buckets:
+    /// Shares of `wall` (the verification time these stats cover) in the
+    /// paper's Figure 7 buckets, in percent:
     /// `(query simplif, SMT:pointers, SMT:branches, serialization, other)`.
-    /// Assertion-query time is folded into `SMT:branches`' companion
-    /// "other" bucket in the paper's plot; we keep it in `other`.
-    pub fn fig7_breakdown(&self) -> (f64, f64, f64, f64, f64) {
-        let tot = self.total().as_secs_f64().max(1e-9);
-        let pct = |d: Duration| 100.0 * d.as_secs_f64() / tot;
+    /// "Other" is the rest of `wall` — interpretation, state management
+    /// and assertion queries — and is zero when the buckets exceed it.
+    pub fn fig7_breakdown(&self, wall: Duration) -> (f64, f64, f64, f64, f64) {
+        let buckets = [
+            self.simplify_time,
+            self.pointer_time,
+            self.branch_time,
+            self.serialization_time,
+        ];
+        let other = wall.saturating_sub(buckets.iter().sum());
+        let pct = |d: Duration| 100.0 * d.as_secs_f64() / wall.as_secs_f64().max(1e-9);
         (
-            pct(self.simplify_time),
-            pct(self.pointer_time),
-            pct(self.branch_time),
-            pct(self.serialization_time),
-            pct(self.assertion_time + self.other_time),
+            pct(buckets[0]),
+            pct(buckets[1]),
+            pct(buckets[2]),
+            pct(buckets[3]),
+            pct(other),
         )
     }
 }
@@ -309,15 +282,21 @@ mod tests {
         let mut s = Stats::default();
         s.add_query_time(QueryPurpose::Pointers, Duration::from_millis(10));
         s.add_query_time(QueryPurpose::Branches, Duration::from_millis(30));
+        s.add_query_time(QueryPurpose::Assertions, Duration::from_millis(20));
         s.serialization_time += Duration::from_millis(10);
-        s.other_time += Duration::from_millis(50);
-        assert_eq!(s.num_queries, 2);
-        let (simp, ptr, br, ser, other) = s.fig7_breakdown();
+        assert_eq!(s.num_queries, 3);
+        // 100 ms of wall time: the 50 ms outside the four buckets, assertion
+        // queries included, is "other", and the five shares sum to 100.
+        let (simp, ptr, br, ser, other) = s.fig7_breakdown(Duration::from_millis(100));
         assert!((simp - 0.0).abs() < 1e-6);
-        assert!((ptr - 10.0).abs() < 1.0);
-        assert!((br - 30.0).abs() < 1.0);
-        assert!((ser - 10.0).abs() < 1.0);
-        assert!((other - 50.0).abs() < 1.0);
+        assert!((ptr - 10.0).abs() < 1e-6);
+        assert!((br - 30.0).abs() < 1e-6);
+        assert!((ser - 10.0).abs() < 1e-6);
+        assert!((other - 50.0).abs() < 1e-6);
+        assert!((simp + ptr + br + ser + other - 100.0).abs() < 1e-6);
+        // Buckets over the wall time leave no negative "other".
+        let (.., other) = s.fig7_breakdown(Duration::from_millis(40));
+        assert_eq!(other, 0.0);
     }
 
     #[test]

@@ -55,9 +55,9 @@ fn pkvm_init() {
 }
 
 #[test]
-fn pkvm_init_oneshot_slicing() {
-    // The incremental-sessions ablation: one-shot checks slice each query
-    // down to its cone of influence before shipping it to the solver.
+fn pkvm_init_oneshot() {
+    // The incremental-sessions ablation: every query runs in a fresh
+    // session that is dropped afterwards, so no session is ever reused.
     let m = module();
     let cfg = EngineConfig {
         incremental: false,
@@ -69,17 +69,9 @@ fn pkvm_init_oneshot_slicing() {
         PotStatus::Failed(vs) => panic!("failed: {}", vs[0]),
         PotStatus::Error(e) => panic!("error: {e}"),
     }
-    // Cone-of-influence slicing must ship strictly fewer terms to the
-    // solvers than the full (monotonically growing) arena holds.
-    assert!(r.stats.terms_shipped > 0);
-    assert!(
-        r.stats.terms_shipped < r.stats.terms_total,
-        "slicing shipped {} of {} terms",
-        r.stats.terms_shipped,
-        r.stats.terms_total
-    );
+    assert_eq!(r.stats.session_hits, 0, "a one-shot run reused a session");
+    assert!(r.stats.session_misses > 0);
     assert_eq!(r.stats.num_serializations, r.stats.num_queries);
-    assert_eq!(r.stats.session_hits + r.stats.session_misses, 0);
 }
 
 #[test]

@@ -71,8 +71,7 @@ impl Level {
 /// The environment is parsed exactly once — in [`Config::from_env`], on
 /// first obs use — and every subsystem reads the parsed value from the
 /// active config ([`config`]) instead of re-reading `std::env`: the obs
-/// sinks and watchdog here, the portfolio's worker-pool sizing
-/// (`TPOT_POOL_THREADS`), the multi-POT driver's job count (`TPOT_JOBS`),
+/// sinks and watchdog here, the multi-POT driver's job count (`TPOT_JOBS`),
 /// and the engine's incremental-session toggle (`TPOT_INCREMENTAL`).
 /// Harnesses and tests override programmatically with the builder methods
 /// plus [`configure`]. The full knob table lives in the README
@@ -95,8 +94,6 @@ pub struct Config {
     /// Force span collection even without an output path (tests and
     /// harnesses that read events programmatically via [`take_events`]).
     pub collect_spans: bool,
-    /// Solver worker-pool size (`TPOT_POOL_THREADS`); `None` = core count.
-    pub pool_threads: Option<usize>,
     /// Parallel POT jobs in the multi-POT driver (`TPOT_JOBS`); `None` =
     /// core count.
     pub jobs: Option<usize>,
@@ -200,7 +197,6 @@ impl Config {
                 .filter(|&n| n > 0),
             slow_query_dir: path("TPOT_SLOW_QUERY_DIR"),
             collect_spans: false,
-            pool_threads: count("TPOT_POOL_THREADS"),
             jobs: count("TPOT_JOBS"),
             path_jobs: count("TPOT_PATH_JOBS"),
             steal_seed: std::env::var("TPOT_STEAL_SEED")
@@ -255,12 +251,6 @@ impl Config {
     /// Forces span collection without an output path.
     pub fn collect(mut self, on: bool) -> Self {
         self.collect_spans = on;
-        self
-    }
-
-    /// Sets the solver worker-pool size.
-    pub fn pool(mut self, threads: usize) -> Self {
-        self.pool_threads = Some(threads);
         self
     }
 

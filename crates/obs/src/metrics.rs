@@ -2,10 +2,10 @@
 //!
 //! Process-wide and always on (an atomic add per record — cheap enough to
 //! never gate), but only *exported* when `TPOT_METRICS` is set or a
-//! harness calls [`to_json`]. This registry replaces the scattered ad-hoc
-//! counters that used to live in `portfolio/pool.rs` and the bench
-//! binaries; the engine's per-POT `Stats` record remains the per-POT
-//! view and is mirrored in here per run (see `tpot-engine`).
+//! harness calls [`to_json`]. This registry holds the process-wide
+//! counters of every subsystem; the engine's per-POT `Stats` record
+//! remains the per-POT view and is mirrored in here per run (see
+//! `tpot-engine`).
 //!
 //! Histograms use 64 log₂ buckets: bucket *i* counts observations `v`
 //! with `ceil(log2(v+1)) == i`, i.e. bucket 0 is `v == 0`, bucket 1 is

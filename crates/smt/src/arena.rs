@@ -1094,184 +1094,11 @@ impl TermArena {
         let new_roots = roots.iter().map(|r| remap[r]).collect();
         (out, new_roots)
     }
-
-    /// Prefix-stable cone-of-influence slice.
-    ///
-    /// Like [`TermArena::slice`], but every id — terms *and* variable
-    /// symbols — is assigned in root-by-root encounter order. That makes the
-    /// output a function of the root *prefix* only: for any `k`,
-    /// `slice_prefix(&roots[..k])` produces an arena that is literally a
-    /// prefix of `slice_prefix(roots)`'s (same terms at the same ids, same
-    /// remapped roots). Incremental solve sessions key their state on the
-    /// path-condition prefix and depend on exactly this stability: a query
-    /// extending an earlier one must map shared terms to identical ids so
-    /// the session's `TermId`-keyed bit-blast caches keep hitting.
-    ///
-    /// [`TermArena::slice`] instead registers the cone's variables in
-    /// original declaration order, which makes the slice *serialize*
-    /// byte-identically to the full arena (the persistent query cache keys
-    /// on that text) but lets a late root perturb the ids of earlier ones —
-    /// hence two functions.
-    pub fn slice_prefix(&self, roots: &[TermId]) -> (TermArena, Vec<TermId>) {
-        let _span = tpot_obs::span_args(
-            "smt",
-            "slice_prefix",
-            &[
-                ("roots", roots.len().to_string()),
-                ("arena_terms", self.len().to_string()),
-            ],
-        );
-        let mut out = TermArena {
-            funcs: self.funcs.clone(),
-            func_map: self.func_map.clone(),
-            fresh_counter: self.fresh_counter,
-            ..TermArena::default()
-        };
-        let mut remap: HashMap<TermId, TermId> = HashMap::new();
-        let mut new_roots: Vec<TermId> = Vec::with_capacity(roots.len());
-        for &root in roots {
-            // Iterative post-order DFS per root; earlier roots' terms are
-            // already interned and are skipped via `remap`.
-            let mut stack: Vec<(TermId, bool)> = vec![(root, false)];
-            while let Some((t, expanded)) = stack.pop() {
-                if remap.contains_key(&t) {
-                    continue;
-                }
-                let node = self.term(t);
-                if !expanded {
-                    stack.push((t, true));
-                    for &a in node.args.iter().rev() {
-                        if !remap.contains_key(&a) {
-                            stack.push((a, false));
-                        }
-                    }
-                    continue;
-                }
-                let new_id = match &node.kind {
-                    Kind::Var(sym) => {
-                        let (name, sort) = self.vars[*sym as usize].clone();
-                        out.var(&name, sort)
-                    }
-                    kind => {
-                        let args: Vec<TermId> = node.args.iter().map(|a| remap[a]).collect();
-                        out.mk(kind.clone(), args, node.sort.clone())
-                    }
-                };
-                remap.insert(t, new_id);
-            }
-            new_roots.push(remap[&root]);
-        }
-        (out, new_roots)
-    }
-
-    /// Rough in-memory footprint estimate in bytes (terms, hash-cons map,
-    /// interned names). Used by the slicing statistics to report arena bytes
-    /// shipped per query versus the full arena.
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        // Each term appears twice: in the vec and as a hash-cons map key.
-        let mut b = self.terms.len() * 2 * size_of::<Term>();
-        for t in &self.terms {
-            b += t.args.len() * 2 * size_of::<TermId>();
-        }
-        for (name, _) in &self.vars {
-            // name in vars + var_map key + map entry overhead.
-            b += 2 * name.len() + 2 * size_of::<(String, Sort)>();
-        }
-        for f in &self.funcs {
-            b += 2 * f.name.len() + size_of::<FuncDecl>() + f.args.len() * size_of::<Sort>();
-        }
-        b
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Builds a varied root list exercising vars, bv ops, bool structure,
-    /// ints, arrays, and UFs, with sharing across roots.
-    fn prefix_fixture() -> (TermArena, Vec<TermId>) {
-        let mut a = TermArena::new();
-        let x = a.var("x", Sort::BitVec(32));
-        let y = a.var("y", Sort::BitVec(32));
-        let p = a.var("p", Sort::Bool);
-        let ix = a.var("ix", Sort::Int);
-        let mem = a.var("mem", Sort::byte_array());
-        let f = a.declare_func("f", vec![Sort::Int], Sort::Int);
-        let c7 = a.bv_const(32, 7);
-        let sum = a.bv_add(x, y);
-        let r0 = a.bv_ult(sum, c7);
-        let fx = a.apply(f, vec![ix]);
-        let c3 = a.int_const(3);
-        let r1_le = a.int_le(fx, c3);
-        let r1 = a.or2(p, r1_le);
-        let i = a.bv64(4);
-        let rd = a.select(mem, i);
-        let cb = a.bv_const(8, 0x5c);
-        let r2 = a.eq(rd, cb);
-        let r3 = a.eq(sum, c7); // shares `sum` with r0
-        let np = a.not(p);
-        let r4 = a.and2(np, r0); // shares r0
-        (a, vec![r0, r1, r2, r3, r4])
-    }
-
-    #[test]
-    fn slice_prefix_is_prefix_stable() {
-        let (a, roots) = prefix_fixture();
-        let (full, full_roots) = a.slice_prefix(&roots);
-        for k in 0..=roots.len() {
-            let (part, part_roots) = a.slice_prefix(&roots[..k]);
-            assert!(part.len() <= full.len());
-            // Same terms at the same ids...
-            for i in 0..part.len() {
-                let id = TermId(i as u32);
-                assert_eq!(
-                    part.term(id),
-                    full.term(id),
-                    "term {i} diverges at prefix {k}"
-                );
-            }
-            // ...same variable symbols in the same order...
-            assert_eq!(part.vars(), &full.vars()[..part.vars().len()]);
-            // ...and identical remapped roots.
-            assert_eq!(part_roots, full_roots[..k]);
-        }
-    }
-
-    #[test]
-    fn slice_prefix_late_root_cannot_perturb_early_ids() {
-        let (mut a, roots) = prefix_fixture();
-        let (part, part_roots) = a.slice_prefix(&roots[..2]);
-        // A new root over fresh, earlier-declared-looking structure.
-        let z = a.var("z", Sort::BitVec(32));
-        let c = a.bv_const(32, 1);
-        let extra = a.eq(z, c);
-        let mut extended = roots[..2].to_vec();
-        extended.push(extra);
-        let (ext, ext_roots) = a.slice_prefix(&extended);
-        assert_eq!(&ext_roots[..2], &part_roots[..]);
-        for i in 0..part.len() {
-            let id = TermId(i as u32);
-            assert_eq!(part.term(id), ext.term(id));
-        }
-    }
-
-    #[test]
-    fn slice_prefix_preserves_semantics() {
-        let (a, roots) = prefix_fixture();
-        let (sliced, new_roots) = a.slice_prefix(&roots);
-        // Same kinds/sorts at the remapped roots, vars keep their names.
-        for (&old, &new) in roots.iter().zip(new_roots.iter()) {
-            assert_eq!(a.term(old).kind, sliced.term(new).kind);
-            assert_eq!(a.sort(old), sliced.sort(new));
-        }
-        // Function declarations are copied verbatim (FuncIds stay stable).
-        assert_eq!(a.funcs().len(), sliced.funcs().len());
-        for (fa, fb) in a.funcs().iter().zip(sliced.funcs().iter()) {
-            assert_eq!(fa.name, fb.name);
-        }
-    }
 
     #[test]
     fn hash_consing_dedups() {
@@ -1503,7 +1330,6 @@ mod tests {
         assert_eq!(sliced.len(), 5);
         assert!(sliced.len() < total);
         assert_eq!(sliced.vars().len(), 2);
-        assert!(sliced.approx_bytes() < a.approx_bytes());
         // The sliced root serializes to the identical assertion.
         let orig = crate::print::to_smtlib(&a, &[root]);
         let new = crate::print::to_smtlib(&sliced, &roots);

@@ -312,4 +312,47 @@ mod tests {
             other => panic!("expected sat: {other:?}"),
         }
     }
+
+    #[test]
+    fn cancel_aborts_running_solver_promptly() {
+        // php(10,9) takes far longer than the test allows. Another thread
+        // sets the cancel flag after 100 ms; the SAT core polls it every 64
+        // conflicts and gives up with Unknown, so the solve returns long
+        // before it could have finished.
+        let mut a = TermArena::new();
+        let holes = 9;
+        let p: Vec<Vec<TermId>> = (0..=holes)
+            .map(|i| {
+                (0..holes)
+                    .map(|j| a.var(&format!("p_{i}_{j}"), Sort::Bool))
+                    .collect()
+            })
+            .collect();
+        let mut asserts: Vec<TermId> = p.iter().map(|row| a.or(row)).collect();
+        for i in 0..=holes {
+            for k in (i + 1)..=holes {
+                for (&x, &y) in p[i].iter().zip(&p[k]) {
+                    let both = a.and2(x, y);
+                    asserts.push(a.not(both));
+                }
+            }
+        }
+        let cancel = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let mut cfg = SolverConfig::default();
+        cfg.sat.cancel = Some(cancel.clone());
+        let start = std::time::Instant::now();
+        let canceller = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            cancel.store(true, std::sync::atomic::Ordering::Relaxed);
+        });
+        let r = SmtSolver::new(cfg).check(&mut a, &asserts).unwrap();
+        canceller.join().unwrap();
+        // Unsat only if the solve beat the flag.
+        assert!(matches!(r, SmtResult::Unknown | SmtResult::Unsat), "{r:?}");
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(30),
+            "cancellation failed to bound the solve: {:?}",
+            start.elapsed()
+        );
+    }
 }

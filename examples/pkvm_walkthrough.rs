@@ -39,10 +39,13 @@ fn main() {
     }
     println!("\nFig. 7-style time breakdown for this target:");
     let mut agg = tpot::engine::Stats::default();
+    let mut wall = std::time::Duration::ZERO;
     for pot in ["spec__nr_pages", "spec__alloc_page"] {
-        agg.merge(&v.verify_pot(pot).stats);
+        let r = v.verify_pot(pot);
+        agg.merge(&r.stats);
+        wall += r.duration;
     }
-    let (simp, ptr, br, ser, other) = agg.fig7_breakdown();
+    let (simp, ptr, br, ser, other) = agg.fig7_breakdown(wall);
     println!(
         "  query-simplification {simp:.1}%  SMT:pointers {ptr:.1}%  SMT:branches {br:.1}%  serialization {ser:.1}%  other {other:.1}%"
     );

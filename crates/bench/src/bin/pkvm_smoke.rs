@@ -1,4 +1,6 @@
-//! Quick verification run of the pKVM early-allocator target.
+//! Quick verification run of the pKVM early-allocator target:
+//! `pkvm_smoke [pot...]`. Under `TPOT_BLAME=1` each POT's five costliest
+//! assumptions follow its line.
 
 use tpot_engine::{PotStatus, Verifier};
 
@@ -27,5 +29,8 @@ fn main() {
             r.stats.paths,
             r.stats.insts
         );
+        for e in r.blame.iter().take(5) {
+            println!("    {}", e.render());
+        }
     }
 }

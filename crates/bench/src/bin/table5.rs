@@ -7,7 +7,8 @@
 //! clock for the parallel batch) and total CPU time.
 //!
 //! Usage: `table5 [target-fragment ...]` — default: the three small
-//! targets; pass `all` for all six (long). `TPOT_JOBS` bounds the workers.
+//! targets; pass `all` for all six (long). `TPOT_PATH_JOBS` bounds the
+//! workers.
 
 use std::time::Instant;
 

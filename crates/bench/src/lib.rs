@@ -2,7 +2,6 @@
 //! and figure of the paper's evaluation (§5). See DESIGN.md §3 for the
 //! experiment index.
 
-pub mod diff;
 pub mod report;
 
 use std::time::Duration;

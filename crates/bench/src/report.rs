@@ -1,17 +1,12 @@
-//! The one report shape every `bench_pr*` harness emits.
-//!
-//! Before PR 4 each harness hand-rolled its own JSON with its own field
-//! layout (`BENCH_PR1.json`, `BENCH_PR2.json` and `BENCH_PR3.json` shared
-//! no structure beyond being JSON objects). This module fixes the schema:
+//! The `tpot-bench/v1` report shape `perfbench` prints.
 //!
 //! ```json
 //! {
-//!   "schema": "tpot-bench/v1",
-//!   "harness": "bench_pr2",
-//!   "meta":    { ... run parameters (jobs, seed, smoke, cores) ... },
-//!   "targets": [ {"name": "...", ... per-target measurements ...}, ... ],
-//!   "summary": { ... cross-target aggregates ... },
-//!   "metrics": { ... optional embedded tpot-obs registry dump ... }
+//!   "schema":  "tpot-bench/v1",
+//!   "harness": "perfbench",
+//!   "meta":    { ... run parameters (workload, seed, jobs, ...) ... },
+//!   "targets": [ {"name": "...", ... per-POT measurements ...}, ... ],
+//!   "summary": { ... end-to-end metrics and cross-target aggregates ... }
 //! }
 //! ```
 //!
@@ -19,26 +14,23 @@
 //! live in one place and a report round-trips through the same parser the
 //! trace tooling uses.
 
-use tpot_engine::{PotResult, PotStatus, Stats};
 use tpot_obs::json::Value;
 
-/// One harness run.
+/// One benchmark run.
 pub struct BenchReport {
-    /// Harness name (`bench_pr1`, …).
+    /// Harness name (`perfbench`).
     pub harness: String,
     /// Run parameters.
     pub meta: Vec<(String, Value)>,
-    /// Per-target (or per-mode) rows.
+    /// Per-target (or per-POT) rows.
     pub targets: Vec<TargetReport>,
     /// Cross-target aggregates.
     pub summary: Vec<(String, Value)>,
-    /// Embedded `tpot-obs` metrics dump, when the harness captures one.
-    pub metrics: Option<Value>,
 }
 
 /// One row of a [`BenchReport`].
 pub struct TargetReport {
-    /// Target (or fuzz-mode) name.
+    /// Target (or POT) name.
     pub name: String,
     /// Measurements.
     pub fields: Vec<(String, Value)>,
@@ -67,7 +59,6 @@ impl BenchReport {
             meta: Vec::new(),
             targets: Vec::new(),
             summary: Vec::new(),
-            metrics: None,
         }
     }
 
@@ -83,15 +74,9 @@ impl BenchReport {
         self
     }
 
-    /// Embeds the current `tpot-obs` metrics registry dump.
-    pub fn embed_metrics(&mut self) -> &mut Self {
-        self.metrics = tpot_obs::json::parse(&tpot_obs::metrics::to_json()).ok();
-        self
-    }
-
     /// Renders the canonical document.
     pub fn render(&self) -> String {
-        let mut top = vec![
+        Value::Obj(vec![
             ("schema".to_string(), s("tpot-bench/v1")),
             ("harness".to_string(), s(&self.harness)),
             ("meta".to_string(), Value::Obj(self.meta.clone())),
@@ -109,16 +94,8 @@ impl BenchReport {
                 ),
             ),
             ("summary".to_string(), Value::Obj(self.summary.clone())),
-        ];
-        if let Some(m) = &self.metrics {
-            top.push(("metrics".to_string(), m.clone()));
-        }
-        Value::Obj(top).render()
-    }
-
-    /// Writes the document to `path` (plus a trailing newline).
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.render() + "\n")
+        ])
+        .render()
     }
 }
 
@@ -138,32 +115,6 @@ impl TargetReport {
     }
 }
 
-/// Canonical short status string for a POT outcome.
-pub fn status_key(st: &PotStatus) -> String {
-    match st {
-        PotStatus::Proved => "proved".into(),
-        PotStatus::Failed(_) => "failed".into(),
-        PotStatus::Error(e) => format!("error:{e}"),
-    }
-}
-
-/// Merges the per-POT stats of a run.
-pub fn merged_stats(results: &[PotResult]) -> Stats {
-    let mut agg = Stats::default();
-    for r in results {
-        agg.merge(&r.stats);
-    }
-    agg
-}
-
-/// True when two runs report the same POTs with the same statuses.
-pub fn outcomes_match(a: &[PotResult], b: &[PotResult]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b.iter())
-            .all(|(x, y)| x.pot == y.pot && status_key(&x.status) == status_key(&y.status))
-}
-
 /// Peak resident set size of this process in kilobytes (Linux `VmHWM`;
 /// 0 where unavailable).
 pub fn peak_rss_kb() -> u64 {
@@ -176,26 +127,6 @@ pub fn peak_rss_kb() -> u64 {
                 .and_then(|v| v.parse().ok())
         })
         .unwrap_or(0)
-}
-
-/// The engine [`Stats`] fields every harness reports per target, in one
-/// canonical naming.
-pub fn stats_fields(st: &Stats) -> Vec<(String, Value)> {
-    vec![
-        ("queries".to_string(), int(st.num_queries)),
-        ("serializations".to_string(), int(st.num_serializations)),
-        ("pointer_queries".to_string(), int(st.pointer_queries)),
-        ("branch_queries".to_string(), int(st.branch_queries)),
-        ("assertion_queries".to_string(), int(st.assertion_queries)),
-        ("simplify_queries".to_string(), int(st.simplify_queries)),
-        ("paths".to_string(), int(st.paths)),
-        ("forks".to_string(), int(st.forks)),
-        ("fork_bytes_shared".to_string(), int(st.fork_bytes_shared)),
-        ("fork_bytes_copied".to_string(), int(st.fork_bytes_copied)),
-        ("live_peak".to_string(), int(st.live_peak)),
-        ("insts".to_string(), int(st.insts)),
-        ("materializations".to_string(), int(st.materializations)),
-    ]
 }
 
 #[cfg(test)]
@@ -230,19 +161,5 @@ mod tests {
             Some("proved")
         );
         assert!(doc.get("metrics").is_none());
-    }
-
-    #[test]
-    fn embedded_metrics_parse() {
-        tpot_obs::metrics::counter("bench.test_counter").inc();
-        let mut r = BenchReport::new("bench_test");
-        r.embed_metrics();
-        let doc = tpot_obs::json::parse(&r.render()).unwrap();
-        let c = doc
-            .get("metrics")
-            .and_then(|m| m.get("counters"))
-            .and_then(|c| c.get("bench.test_counter"))
-            .and_then(Value::as_f64);
-        assert!(c.unwrap_or(0.0) >= 1.0);
     }
 }

@@ -1278,8 +1278,13 @@ impl<'a> FnCx<'a> {
         }
     }
 
-    /// Usual arithmetic conversions for a binary operator.
+    /// Usual arithmetic conversions for a binary operator (compound
+    /// assignments included) or the arms of `?:`. Both operands must be
+    /// scalar.
     fn usual_conversions(&mut self, a: TExpr, b: TExpr) -> Res<(TExpr, TExpr)> {
+        if let Some(ty) = [&a.ty, &b.ty].into_iter().find(|t| !t.is_scalar()) {
+            return err(format!("operand must be scalar, got {ty}"));
+        }
         // Pointers compare as 64-bit unsigned.
         if a.ty.is_pointer() || b.ty.is_pointer() {
             let a = self.coerce(a, &Type::ULONG)?;
@@ -1753,6 +1758,30 @@ mod tests {
     #[test]
     fn error_call_arity() {
         assert!(compile("void g(int x) {}\nvoid f(void) { g(); }\n").is_err());
+    }
+
+    #[test]
+    fn error_non_scalar_operands() {
+        const VOID_F: &str = "void f(void) {}\n";
+        const STRUCT_S: &str = "struct S { int a; };\nstruct S s;\n";
+        for (decls, body) in [
+            (VOID_F, "int g(void) { return f() - 1; }"),
+            (VOID_F, "int g(void) { return f() == 1; }"),
+            (VOID_F, "int g(void) { return f() < 1; }"),
+            (VOID_F, "int g(void) { return 1 << f(); }"),
+            (VOID_F, "int g(void) { int x = 0; x += f(); return x; }"),
+            (VOID_F, "int g(void) { return 1 ? f() : 2; }"),
+            (STRUCT_S, "int g(void) { return s + 1; }"),
+            (STRUCT_S, "int g(void) { return s == s; }"),
+        ] {
+            let src = format!("{decls}{body}\n");
+            match compile(&src) {
+                Err(e @ crate::FrontError::Sema(_)) => {
+                    assert!(e.to_string().contains("must be scalar"), "{body}: {e}")
+                }
+                other => panic!("{body}: expected a sema error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -852,6 +852,13 @@ void spec__zero(void) {
             &VerifyRequest::for_source(SRC).with_pots(["spec__nope"]),
         );
         assert!(r.error.is_some());
+        // A non-scalar operand is a typed sema error, not a dropped
+        // connection (the daemon compiles on the connection thread).
+        let r = post_verify(
+            &addr,
+            &VerifyRequest::for_source("void f(void) {}\nint g(void) { return f() - 1; }\n"),
+        );
+        assert!(matches!(r.error, Some(TpotError::Sema(_))), "{:?}", r.error);
         handle.shutdown();
     }
 

@@ -144,8 +144,8 @@ pub struct VerifyOptions {
     /// module order.
     pub pots: Option<Vec<String>>,
     /// Path-scheduler workers: `0` resolves from the `TPOT_PATH_JOBS`
-    /// environment variable (then `TPOT_JOBS`, then the core count); `1`
-    /// is the deterministic sequential baseline.
+    /// environment variable (then the core count); `1` is the
+    /// deterministic sequential baseline.
     pub jobs: usize,
     /// Victim-selection seed for the work-stealing scheduler. `None`
     /// resolves from `TPOT_STEAL_SEED`, falling back to
@@ -271,11 +271,9 @@ impl Verifier {
         let jobs = if opts.jobs > 0 {
             opts.jobs
         } else {
-            // `TPOT_PATH_JOBS` sizes the path scheduler; `TPOT_JOBS` is
-            // honored as the older, coarser knob. Both are parsed once
+            // `TPOT_PATH_JOBS` sizes the path scheduler; it is parsed once
             // into the typed obs config.
-            let obs = tpot_obs::config();
-            obs.path_jobs.or(obs.jobs).unwrap_or_else(|| {
+            tpot_obs::config().path_jobs.unwrap_or_else(|| {
                 std::thread::available_parallelism()
                     .map(|n| n.get())
                     .unwrap_or(4)

@@ -86,7 +86,7 @@ fn main() {
                 report.total_discrepancies()
             );
             if let Some(path) = json_out {
-                std::fs::write(&path, report_json(&report, &[])).expect("write json report");
+                std::fs::write(&path, report_json(&report)).expect("write json report");
                 println!("wrote {path}");
             }
             let _ = tpot_obs::flush();

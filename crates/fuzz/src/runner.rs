@@ -1,7 +1,7 @@
 //! The fuzzing loop: cycles through the differential/metamorphic modes,
 //! derives an independent RNG stream per `(seed, iteration)`, reduces any
 //! failure to a minimal repro under `fuzz-failures/`, and accumulates the
-//! per-mode statistics reported to `BENCH_PR3.json`.
+//! per-mode statistics that `tpot-fuzz run --json PATH` writes out.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -396,18 +396,14 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Hand-rolled JSON (repo convention: no serde), shared by the CLI and
-/// `bench_pr3`.
-pub fn report_json(r: &FuzzReport, extra: &[(&str, String)]) -> String {
+/// Hand-rolled JSON (repo convention: no serde) for `tpot-fuzz run --json`.
+pub fn report_json(r: &FuzzReport) -> String {
     let mut j = String::new();
     let _ = writeln!(j, "{{");
     let _ = writeln!(j, "  \"harness\": \"tpot-fuzz\",");
     let _ = writeln!(j, "  \"seed\": {},", r.seed);
     let _ = writeln!(j, "  \"iterations\": {},", r.iters);
     let _ = writeln!(j, "  \"elapsed_ms\": {:.1},", r.elapsed_ms);
-    for (k, v) in extra {
-        let _ = writeln!(j, "  \"{k}\": {v},");
-    }
     let _ = writeln!(j, "  \"modes\": [");
     for (i, (m, s)) in r.stats.iter().enumerate() {
         let _ = writeln!(j, "    {{");

@@ -1,8 +1,8 @@
 //! Fixed-seed smoke run of the differential fuzzer, wired into tier-1.
 //!
 //! A small deterministic slice of every mode runs on each `cargo test`;
-//! the deep run (`tpot-fuzz run --iters 10000` or `bench_pr3`) covers the
-//! long tail. Iteration count is budgeted for debug builds (~10–20 s).
+//! the deep run (`tpot-fuzz run --iters 10000 --seed 42`) covers the long
+//! tail. Iteration count is budgeted for debug builds (~10–20 s).
 
 use tpot_fuzz::{lock, run, Mode, RunConfig};
 

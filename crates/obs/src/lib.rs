@@ -71,11 +71,11 @@ impl Level {
 /// The environment is parsed exactly once — in [`Config::from_env`], on
 /// first obs use — and every subsystem reads the parsed value from the
 /// active config ([`config`]) instead of re-reading `std::env`: the obs
-/// sinks and watchdog here, the multi-POT driver's job count (`TPOT_JOBS`),
-/// and the engine's incremental-session toggle (`TPOT_INCREMENTAL`).
-/// Harnesses and tests override programmatically with the builder methods
-/// plus [`configure`]. The full knob table lives in the README
-/// ("Runtime knobs").
+/// sinks and watchdog here, the path scheduler's worker count
+/// (`TPOT_PATH_JOBS`), and the engine's incremental-session toggle
+/// (`TPOT_INCREMENTAL`). Tests and the benchmark override programmatically
+/// by setting fields (or with the builder methods) plus [`configure`]. The
+/// full knob table lives in the README ("Runtime knobs").
 #[derive(Clone, Debug, Default)]
 pub struct Config {
     /// Chrome-trace (Perfetto-loadable) output path (`TPOT_TRACE`).
@@ -94,12 +94,9 @@ pub struct Config {
     /// Force span collection even without an output path (tests and
     /// harnesses that read events programmatically via [`take_events`]).
     pub collect_spans: bool,
-    /// Parallel POT jobs in the multi-POT driver (`TPOT_JOBS`); `None` =
-    /// core count.
-    pub jobs: Option<usize>,
     /// Workers in the path-level work-stealing scheduler
-    /// (`TPOT_PATH_JOBS`); `None` falls back to `TPOT_JOBS`, then core
-    /// count. `1` degenerates to the sequential depth-first order.
+    /// (`TPOT_PATH_JOBS`); `None` = core count. `1` degenerates to the
+    /// sequential depth-first order.
     pub path_jobs: Option<usize>,
     /// Seed for the scheduler's deterministic victim selection
     /// (`TPOT_STEAL_SEED`); `None` = the engine default. Two runs with the
@@ -122,11 +119,6 @@ pub struct Config {
     /// LBD at or below which a learned clause is *mid-tier* — kept while
     /// recently used (`TPOT_LBD_MID`); `None` = the solver's default (6).
     pub lbd_mid: Option<u32>,
-    /// Conflict budget for the full-strength SAT instance
-    /// (`TPOT_SAT_CONFLICTS`); search gives up with `Unknown` once
-    /// exhausted. `None` = unlimited. Benchmark ablations use this to
-    /// bound otherwise-divergent baselines deterministically.
-    pub sat_conflict_limit: Option<u64>,
     /// Proof-effort blame (`TPOT_BLAME`): provenance tagging of asserted
     /// assumptions, assumption-core extraction on proved POTs, and
     /// conflict-participation tracking of activation literals; `None` =
@@ -197,7 +189,6 @@ impl Config {
                 .filter(|&n| n > 0),
             slow_query_dir: path("TPOT_SLOW_QUERY_DIR"),
             collect_spans: false,
-            jobs: count("TPOT_JOBS"),
             path_jobs: count("TPOT_PATH_JOBS"),
             steal_seed: std::env::var("TPOT_STEAL_SEED")
                 .ok()
@@ -207,7 +198,6 @@ impl Config {
             proof: toggle("TPOT_PROOF"),
             lbd_core: count("TPOT_LBD_CORE").map(|n| n as u32),
             lbd_mid: count("TPOT_LBD_MID").map(|n| n as u32),
-            sat_conflict_limit: count("TPOT_SAT_CONFLICTS").map(|n| n as u64),
             blame: toggle("TPOT_BLAME"),
             status_path: path("TPOT_STATUS"),
             profile_path: path("TPOT_PROFILE"),
@@ -230,18 +220,6 @@ impl Config {
         self
     }
 
-    /// Sets the metrics dump path.
-    pub fn metrics_out(mut self, p: impl Into<PathBuf>) -> Self {
-        self.metrics_path = Some(p.into());
-        self
-    }
-
-    /// Sets the log level.
-    pub fn log(mut self, level: Level) -> Self {
-        self.log_level = Some(level);
-        self
-    }
-
     /// Sets the slow-query watchdog threshold (ms; 0 disables).
     pub fn slow_query(mut self, ms: u64) -> Self {
         self.slow_query_ms = Some(ms).filter(|&n| n > 0);
@@ -251,69 +229,6 @@ impl Config {
     /// Forces span collection without an output path.
     pub fn collect(mut self, on: bool) -> Self {
         self.collect_spans = on;
-        self
-    }
-
-    /// Sets the parallel POT job count.
-    pub fn parallel_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = Some(jobs);
-        self
-    }
-
-    /// Sets the path-scheduler worker count.
-    pub fn path_workers(mut self, workers: usize) -> Self {
-        self.path_jobs = Some(workers);
-        self
-    }
-
-    /// Sets the work-stealing victim-selection seed.
-    pub fn steal_seed_value(mut self, seed: u64) -> Self {
-        self.steal_seed = Some(seed);
-        self
-    }
-
-    /// Enables or disables incremental solve sessions in the engine.
-    pub fn incremental_sessions(mut self, on: bool) -> Self {
-        self.incremental = Some(on);
-        self
-    }
-
-    /// Enables or disables SAT inprocessing (variable elimination,
-    /// subsumption, vivification).
-    pub fn inprocessing(mut self, on: bool) -> Self {
-        self.inprocess = Some(on);
-        self
-    }
-
-    /// Enables or disables DRAT proof logging in the SAT core.
-    pub fn proof_logging(mut self, on: bool) -> Self {
-        self.proof = Some(on);
-        self
-    }
-
-    /// Sets the LBD thresholds of the tiered clause database.
-    pub fn lbd_tiers(mut self, core: u32, mid: u32) -> Self {
-        self.lbd_core = Some(core);
-        self.lbd_mid = Some(mid);
-        self
-    }
-
-    /// Enables or disables proof-effort blame (provenance tags, assumption
-    /// cores, conflict participation).
-    pub fn blame_tracking(mut self, on: bool) -> Self {
-        self.blame = Some(on);
-        self
-    }
-
-    /// Sets the live status snapshot path.
-    pub fn status(mut self, p: impl Into<PathBuf>) -> Self {
-        self.status_path = Some(p.into());
-        self
-    }
-
-    /// Sets the collapsed-stack path-profile output path.
-    pub fn profile(mut self, p: impl Into<PathBuf>) -> Self {
-        self.profile_path = Some(p.into());
         self
     }
 
@@ -471,7 +386,8 @@ pub(crate) fn push_event(ev: Event) {
 }
 
 /// Takes (and clears) all collected events — for harnesses that analyze
-/// spans programmatically (bench_pr4's coverage check, unit tests).
+/// spans programmatically (the engine's `pkvm_invariants` span-coverage
+/// check, unit tests).
 pub fn take_events() -> Vec<Event> {
     std::mem::take(&mut *obs().events.lock().unwrap())
 }

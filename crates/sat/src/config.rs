@@ -25,8 +25,7 @@ pub struct SatConfig {
     pub default_phase: bool,
     /// Maximum number of conflicts before giving up (`None` = unlimited).
     /// The portfolio uses finite budgets on speculative configurations;
-    /// `TPOT_SAT_CONFLICTS` caps the full-strength instance too (bench
-    /// ablations use it to bound divergent baselines deterministically).
+    /// the full-strength instance is unlimited.
     pub conflict_limit: Option<u64>,
     /// Learned-clause database reduction threshold factor.
     pub learntsize_factor: f64,
@@ -73,7 +72,7 @@ impl Default for SatConfig {
             random_decision_freq: 0.02,
             seed: 0x9e3779b97f4a7c15,
             default_phase: false,
-            conflict_limit: obs.sat_conflict_limit,
+            conflict_limit: None,
             learntsize_factor: 1.0 / 3.0,
             cancel: None,
             inprocess: obs.inprocess.unwrap_or(true),

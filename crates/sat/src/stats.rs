@@ -9,7 +9,8 @@
 //! and path that issued it with no overlap — no matter how many contexts
 //! run concurrently. The process-wide `sat.*` metric counters keep
 //! receiving the same deltas; the invariant `sum over sinks == global
-//! delta` is what the `counter_parity` fuzz mode and `bench_pr9` check.
+//! delta` is what the `counter_parity` fuzz mode and the engine's
+//! `pkvm_invariants` test check.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -3,8 +3,7 @@
 //!
 //! 1. integer vs naive-bitvector pointer encoding,
 //! 2. solver-aided query simplifier on vs off,
-//! 3. single solver vs racing portfolio,
-//! 4. persistent query cache cold vs warm.
+//! 3. persistent query cache cold vs warm.
 
 use std::time::Instant;
 
@@ -59,20 +58,7 @@ fn main() {
         println!("  {name:<18} proved={ok}  time={}  queries={q}", fmt_dur(d));
     }
     println!();
-    println!("Ablation 3: solver portfolio size (§4.4)");
-    for n in [1usize, 4] {
-        let cfg = EngineConfig {
-            portfolio_size: n,
-            ..EngineConfig::default()
-        };
-        let (ok, d, q) = run(&m, cfg, "spec__incr_p1");
-        println!(
-            "  {n} instance(s)      proved={ok}  time={}  queries={q}",
-            fmt_dur(d)
-        );
-    }
-    println!();
-    println!("Ablation 4: persistent query cache (§4.4) — cold vs warm CI run");
+    println!("Ablation 3: persistent query cache (§4.4) — cold vs warm CI run");
     let cache = std::env::temp_dir().join("tpot-ablation-cache.json");
     let _ = std::fs::remove_file(&cache);
     for label in ["cold", "warm"] {

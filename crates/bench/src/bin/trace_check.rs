@@ -8,9 +8,9 @@
 //! time-attribution, so a trace without solver spans means the
 //! instrumentation regressed. Spans still open at the end of the file are
 //! reported but tolerated: the engine flushes sinks after every POT, so a
-//! trace is a snapshot and may capture in-flight work (e.g. a cancelled
-//! portfolio job that has not yet observed its cancel flag). Perfetto
-//! renders such spans as running to the trace end.
+//! trace is a snapshot and may capture in-flight work (another worker's
+//! episode of a later POT). Perfetto renders such spans as running to the
+//! trace end.
 //!
 //! Multi-worker traces (`TPOT_PATH_JOBS > 1`) get scheduler-shape checks
 //! on top:

@@ -46,12 +46,10 @@ pub struct EngineConfig {
     /// Enable the solver-aided query simplifier (§4.3). Disabling it is an
     /// ablation.
     pub simplifier: bool,
-    /// Number of portfolio instances (1 = single solver).
-    pub portfolio_size: usize,
     /// Keep incremental [`tpot_solver::SolveSession`]s between queries
     /// (push/pop along the path prefix, bit-blast reuse). Disabling it is
     /// the one-shot ablation: each query runs in a fresh session that is
-    /// dropped afterwards. Racing portfolios never use sessions.
+    /// dropped afterwards.
     pub incremental: bool,
     /// Optional persistent query-cache path (§4.4).
     pub cache_path: Option<std::path::PathBuf>,
@@ -73,7 +71,6 @@ impl Default for EngineConfig {
         EngineConfig {
             addr_mode: AddrMode::Int,
             simplifier: true,
-            portfolio_size: 1,
             // On by default; `TPOT_INCREMENTAL=0` (via the typed obs
             // config) is the environment-level ablation switch.
             incremental: tpot_obs::config().incremental.unwrap_or(true),
@@ -102,25 +99,20 @@ pub fn solver_cache_digest(config: &EngineConfig) -> u64 {
         },
     );
     h = mix(h, config.incremental as u64);
-    h = mix(h, config.portfolio_size as u64);
     h = mix(h, config.simplifier as u64);
     h
 }
 
 /// Digest keying the *POT-outcome* table: everything in
-/// [`solver_cache_digest`] plus the portfolio's instance digests and the
+/// [`solver_cache_digest`] plus the solver configuration's digest and the
 /// resource budgets — a POT proved under a smaller instruction or state
 /// budget is not the same claim as one proved under a larger one.
 pub fn outcome_digest(config: &EngineConfig) -> u64 {
-    use tpot_portfolio::{fnv1a, mix, portfolio_config_digest};
-    let configs = if config.portfolio_size <= 1 {
-        vec![tpot_solver::SolverConfig::default()]
-    } else {
-        tpot_solver::SolverConfig::portfolio(config.portfolio_size)
-    };
+    use tpot_portfolio::{fnv1a, mix, solver_config_digest};
+    let solver = solver_config_digest(&tpot_solver::SolverConfig::default());
     let mut h = fnv1a(b"tpot-outcome-config/v1");
     h = mix(h, solver_cache_digest(config));
-    h = mix(h, portfolio_config_digest(&configs));
+    h = mix(h, solver);
     h = mix(h, config.max_states as u64);
     h = mix(h, config.max_insts);
     h = mix(h, config.max_havoc_bytes);
@@ -168,15 +160,10 @@ impl<'m> ExecCtx<'m> {
         config: EngineConfig,
         cache: tpot_portfolio::SharedCache,
     ) -> Self {
-        let portfolio = if config.portfolio_size <= 1 {
-            Portfolio::single()
-        } else {
-            Portfolio::with_instances(config.portfolio_size)
-        };
         // Salt the cache key with the engine-level knobs: an outcome
-        // recorded under one addr-mode/session/portfolio configuration
+        // recorded under one addr-mode/session/simplifier configuration
         // must never answer a query issued under another.
-        let portfolio = portfolio
+        let portfolio = Portfolio::default()
             .keep_sessions(config.incremental)
             .with_config_salt(solver_cache_digest(&config))
             .with_shared_cache(cache);

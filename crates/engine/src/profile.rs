@@ -3,7 +3,7 @@
 //! The scheduler drains its shard's counters at every attribution boundary
 //! (a fork, a terminal path, an end-of-POT check, the end of an episode)
 //! and records the delta against the [`PathId`] that was current when the
-//! work happened. Because the counters are per-shard sink deltas (not
+//! work happened. Because the counters are per-shard deltas (not
 //! process-wide snapshots), the attribution is *exclusive* — a sample on
 //! path `0.1` is work done while `0.1` itself was executing, excluding its
 //! children — and exact at any worker count.
@@ -29,9 +29,9 @@ pub struct PathSample {
     pub solver_us: u64,
     /// Solver queries issued.
     pub queries: u64,
-    /// SAT `solve()` calls (shard-sink delta).
+    /// SAT `solve()` calls (shard delta).
     pub sat_solves: u64,
-    /// CDCL conflicts (shard-sink delta).
+    /// CDCL conflicts (shard delta).
     pub sat_conflicts: u64,
 }
 

@@ -279,7 +279,7 @@ mod tests {
         let x = a.var("x", Sort::Int);
         let zero = a.int_const(0);
         let pos = a.int_lt(zero, x);
-        let mut q = QueryCtx::new(Portfolio::single());
+        let mut q = QueryCtx::new(Portfolio::default());
         let empty = PathCond::new();
         let on_pos = PathCond::from(vec![pos]);
         assert!(q
@@ -306,7 +306,7 @@ mod tests {
         let x = a.var("x", Sort::Int);
         let zero = a.int_const(0);
         let pos = a.int_lt(zero, x);
-        let mut q = QueryCtx::new(Portfolio::with_instances(3));
+        let mut q = QueryCtx::new(Portfolio::default());
         assert!(q
             .is_feasible(&mut a, &PathCond::new(), pos, QueryPurpose::Branches)
             .unwrap());
@@ -325,7 +325,63 @@ mod tests {
         assert_eq!(s.num_serializations, s.num_queries);
         assert_eq!(s.branch_queries, 1);
         assert_eq!(s.assertion_queries, 1);
-        assert!(s.sat_solves >= 2, "raced work reaches the drained stats");
+        assert!(s.sat_solves >= 2, "solver work reaches the drained stats");
+    }
+
+    #[test]
+    fn shard_clone_hands_off_sessions() {
+        // No other lib test clones a shard or runs the scheduler, so the
+        // process-wide handoff counters move for this test alone.
+        use tpot_obs::metrics::counter;
+        const KEYS: [&str; 3] = [
+            "sched.handoffs_measured",
+            "sched.handoff_reblast_terms",
+            "sched.handoff_baseline_terms",
+        ];
+        let mut a = TermArena::new();
+        let x = a.var("hx", Sort::BitVec(16));
+        let y = a.var("hy", Sort::BitVec(16));
+        let c3 = a.bv_const(16, 3);
+        let c5 = a.bv_const(16, 5);
+        let c1000 = a.bv_const(16, 1000);
+        let sum = a.bv_add(x, y);
+        let p0 = a.bv_ult(sum, c1000);
+        let x3 = a.bv_mul(x, c3);
+        let p1 = a.neq(x3, y);
+        let p2 = a.bv_ult(c5, y);
+        let y5 = a.bv_mul(y, c5);
+        let y5x = a.bv_add(y5, x);
+        let p3 = a.bv_ult(y5x, c1000);
+        let prefix = vec![p0, p1, p2, p3];
+        let mut q = QueryCtx::new(Portfolio::default());
+        let t = a.tru();
+        let path = PathCond::from(prefix.clone());
+        assert!(q
+            .is_feasible(&mut a, &path, t, QueryPurpose::Branches)
+            .unwrap());
+
+        // The thief gets a copy of the arena, as a stolen shard does.
+        let mut stolen = a.clone();
+        let mut thief = q.clone_for_shard();
+        let inherited = thief.portfolio.sessions.total_terms_blasted();
+        assert!(inherited > 0, "the prefix was blasted before the split");
+        let before = KEYS.map(|k| counter(k).get());
+        let c100 = stolen.bv_const(16, 100);
+        let p4 = stolen.bv_ult(x, c100);
+        let x_is_3 = stolen.eq(x, c3);
+        let longer = PathCond::from([prefix, vec![p4]].concat());
+        assert!(thief
+            .is_feasible(&mut stolen, &longer, x_is_3, QueryPurpose::Branches)
+            .unwrap());
+        let [measured, reblast, baseline] = KEYS.map(|k| counter(k).get());
+        assert_eq!(measured - before[0], 1, "one handoff measured");
+        assert_eq!(baseline - before[2], inherited);
+        let reblast = reblast - before[1];
+        assert!(
+            (reblast as f64) < 0.5 * inherited as f64,
+            "the handoff re-blasted {reblast} of {inherited} inherited terms"
+        );
+        assert_eq!(thief.take_stats().session_hits, 1, "the inherited session");
     }
 
     #[test]
@@ -335,7 +391,7 @@ mod tests {
         let zero = a.int_const(0);
         let one = a.int_const(1);
         let pos = a.int_lt(zero, x);
-        let mut q = QueryCtx::new(Portfolio::single());
+        let mut q = QueryCtx::new(Portfolio::default());
         let on_pos = PathCond::from(vec![pos]);
         let gt1 = a.int_lt(one, x);
         assert!(q
@@ -363,7 +419,7 @@ mod tests {
         let x = a.var("mx", Sort::BitVec(8));
         let c = a.bv_const(8, 9);
         let eq = a.eq(x, c);
-        let mut q = QueryCtx::new(Portfolio::single());
+        let mut q = QueryCtx::new(Portfolio::default());
         let t = a.tru();
         let m = q
             .model(

@@ -109,7 +109,7 @@ struct PotRun {
     /// Violations keyed for deterministic ordering: `(path, seq)`.
     violations: Mutex<Vec<(PathId, u32, Violation)>>,
     /// Merged per-episode engine stats. The `sat_*` members are per-shard
-    /// sink deltas drained at attribution boundaries, so they are exact
+    /// deltas drained at attribution boundaries, so they are exact
     /// for this POT at any worker count.
     stats: Mutex<Stats>,
     /// Merged per-episode path profiles (exclusive per-path effort).
@@ -602,7 +602,7 @@ impl<'m> Sched<'m> {
     }
 }
 
-/// Drains the shard's counters (engine stats + solver-sink deltas): the
+/// Drains the shard's counters (engine stats + solver deltas): the
 /// delta is attributed to `pid` in the episode profile and merged into the
 /// episode's stats total. Cheap when nothing happened since the last
 /// drain — the delta is zero and the profile drops it.
@@ -694,10 +694,12 @@ pub(crate) fn run_verify(
     }
     std::thread::scope(|scope| {
         let sched = &sched;
-        for w in 0..jobs {
+        for w in 1..jobs {
             let rng = StealRng::new(seed, w);
             scope.spawn(move || sched.worker(v, w, rng));
         }
+        // Worker 0 runs on the calling thread, so jobs=1 spawns nothing.
+        sched.worker(v, 0, StealRng::new(seed, 0));
     });
     // Final snapshot so the status file reflects the finished run.
     if let Some(p) = sched.status_path.clone() {

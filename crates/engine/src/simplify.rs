@@ -172,7 +172,7 @@ mod tests {
         let mut a = TermArena::new();
         let mem = Memory::new(&mut a, AddrMode::Int);
         let st = State::new(mem);
-        let q = QueryCtx::new(Portfolio::single());
+        let q = QueryCtx::new(Portfolio::default());
         (a, st, q)
     }
 

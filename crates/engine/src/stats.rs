@@ -104,9 +104,9 @@ pub struct Stats {
     /// Lazily materialized heap objects (§4.2).
     pub materializations: u64,
     /// SAT `solve()` calls attributed to this POT/path. All `sat_*` fields
-    /// are exact per-shard sink deltas ([`tpot_sat::SatSink`]): every solver
-    /// instance publishes one per-call delta to the sink of the execution
-    /// shard that owns it, so attribution is exact at any worker count —
+    /// are exact per-shard deltas: every solve runs in a session owned by
+    /// one execution shard, which counts the session's in-solve delta
+    /// around each check, so attribution is exact at any worker count —
     /// concurrent POTs never bleed into each other's counters.
     pub sat_solves: u64,
     /// CDCL conflicts attributed to this POT/path.
@@ -115,7 +115,7 @@ pub struct Stats {
     pub sat_decisions: u64,
     /// Unit propagations during search attributed to this POT/path
     /// (level-0 setup propagation during clause addition is excluded —
-    /// the sink sees in-solve deltas only).
+    /// only in-solve deltas are counted).
     pub sat_propagations: u64,
     /// Restarts attributed to this POT/path.
     pub sat_restarts: u64,
@@ -132,7 +132,7 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Folds one shard-sink delta ([`tpot_sat::SolveStats`]) into the
+    /// Folds one shard's SAT delta ([`tpot_sat::SolveStats`]) into the
     /// `sat_*` fields. This is the only way sat counters enter a [`Stats`]
     /// record; the process-wide `sat.*` registry counters receive the same
     /// deltas from the solver, so summing every record's `sat_*` over a run

@@ -4,8 +4,8 @@
 //! inprocessing off, span collection and blame tracking.
 //!
 //! One `#[test]` in a binary of its own: `tpot_obs::configure` and the
-//! `sat.*`/`sched.*` registry deltas read below are process-wide, so no
-//! other test may solve in this process while it runs.
+//! `sat.*` registry deltas read below are process-wide, so no other test
+//! may solve in this process while it runs.
 
 use std::collections::HashMap;
 
@@ -26,12 +26,6 @@ const SAT_FIELDS: [SatField; 6] = [
     ("sat.propagations", |s| s.sat_propagations),
     ("sat.restarts", |s| s.sat_restarts),
     ("sat.learned_clauses", |s| s.sat_learned),
-];
-
-const HANDOFF: [&str; 3] = [
-    "sched.handoff_reblast_terms",
-    "sched.handoff_baseline_terms",
-    "sched.handoffs_measured",
 ];
 
 fn module() -> tpot_ir::Module {
@@ -139,18 +133,13 @@ fn pkvm_smoke_pots_keep_verdicts_and_accounting_in_every_mode() {
     );
 
     // Path workers and steal seeds change neither verdicts nor path
-    // counts; a migrated path re-blasts under half of its inherited
-    // prefix; at jobs=4 the per-POT SAT counters sum to the registry delta.
+    // counts; at jobs=4 the per-POT SAT counters sum to the registry delta.
     let sat_keys = SAT_FIELDS.map(|(k, _)| k);
-    let mut handoff = [0u64; 3];
     for jobs in [2, 4] {
         for seed in [1, 2] {
-            let (sched0, sat0) = (registry(&HANDOFF), registry(&sat_keys));
+            let sat0 = registry(&sat_keys);
             let rs = run(&m, EngineConfig::default(), jobs, Some(seed));
             assert_eq!(outcomes(&rs), want, "jobs={jobs} seed={seed}");
-            for (h, d) in handoff.iter_mut().zip(since(&HANDOFF, &sched0)) {
-                *h += d;
-            }
             if jobs == 4 {
                 for ((key, field), global) in SAT_FIELDS.iter().zip(since(&sat_keys, &sat0)) {
                     let attributed: u64 = rs.iter().map(|r| field(&r.stats)).sum();
@@ -159,11 +148,6 @@ fn pkvm_smoke_pots_keep_verdicts_and_accounting_in_every_mode() {
             }
         }
     }
-    let [reblast, baseline, measured] = handoff;
-    assert!(
-        measured == 0 || (reblast as f64) < 0.5 * baseline as f64,
-        "handoffs re-blasted {reblast} of {baseline} inherited terms (need < 0.5)"
-    );
 
     // Inprocessing off decides the same.
     tpot_obs::configure(ObsConfig {

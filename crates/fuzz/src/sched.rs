@@ -94,7 +94,7 @@ fn outcome_key(results: &[tpot_engine::PotResult]) -> Vec<String> {
 
 /// One round of SAT-counter conservation: verify a random module with a
 /// random worker count and demand that the per-POT solver counters (the
-/// per-shard sink deltas summed into each `PotResult`) add up to exactly
+/// per-shard deltas summed into each `PotResult`) add up to exactly
 /// the process-wide `sat.*` registry delta over the run.
 ///
 /// Both totals receive the same per-`solve` deltas from the same solver

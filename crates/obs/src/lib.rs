@@ -113,12 +113,6 @@ pub struct Config {
     /// solver's default (off — logging costs memory proportional to the
     /// number of learned clauses).
     pub proof: Option<bool>,
-    /// LBD at or below which a learned clause is *core* — never deleted
-    /// (`TPOT_LBD_CORE`); `None` = the solver's default (2).
-    pub lbd_core: Option<u32>,
-    /// LBD at or below which a learned clause is *mid-tier* — kept while
-    /// recently used (`TPOT_LBD_MID`); `None` = the solver's default (6).
-    pub lbd_mid: Option<u32>,
     /// Proof-effort blame (`TPOT_BLAME`): provenance tagging of asserted
     /// assumptions, assumption-core extraction on proved POTs, and
     /// conflict-participation tracking of activation literals; `None` =
@@ -196,8 +190,6 @@ impl Config {
             incremental: toggle("TPOT_INCREMENTAL"),
             inprocess: toggle("TPOT_INPROCESS"),
             proof: toggle("TPOT_PROOF"),
-            lbd_core: count("TPOT_LBD_CORE").map(|n| n as u32),
-            lbd_mid: count("TPOT_LBD_MID").map(|n| n as u32),
             blame: toggle("TPOT_BLAME"),
             status_path: path("TPOT_STATUS"),
             profile_path: path("TPOT_PROFILE"),

@@ -42,7 +42,7 @@ impl Phase {
 pub struct Event {
     /// Phase (begin/end/instant).
     pub phase: Phase,
-    /// Category (pipeline stage: `engine`, `solver`, `portfolio`, …).
+    /// Category (pipeline stage: `engine`, `solver`, `sched`, …).
     pub cat: &'static str,
     /// Span or event name.
     pub name: String,

@@ -1,17 +1,20 @@
-//! Solver portfolio racing and the persistent query cache (paper §4.4).
+//! The persistent query cache and the solve-session broker (paper §4.4).
 //!
 //! The paper's TPot *races* 15 differently-configured Z3 instances and takes
 //! the earliest result, and persists query results on disk so CI re-runs
-//! only pay for queries affected by a change. This crate reproduces both
-//! behind one entry point, [`Portfolio::check`], which takes a query as
-//! `prefix ∧ extra` plus its fingerprint and goes:
+//! only pay for queries affected by a change. This crate keeps the cache
+//! but runs one solver configuration whose incremental sessions survive
+//! between queries: on this solver a race never won, and racing forfeits
+//! the sessions (DESIGN.md §1 has the measurements). The one entry point,
+//! [`Portfolio::check`], takes a query as `prefix ∧ extra` plus its
+//! fingerprint and goes:
 //!
 //! 1. **Cache.** Unless the caller needs a model, the persistent query cache
 //!    ([`tpot_proofcache::ProofCache`]) is probed. It keys Sat/Unsat
 //!    outcomes by `(query fingerprint, config digest)`. The digest
 //!    ([`solver_config_digest`], plus an engine-level salt installed through
 //!    [`Portfolio::with_config_salt`]) folds every semantically relevant
-//!    knob — inprocessing, clause-DB tiering, conflict budgets, theory
+//!    knob — inprocessing, restart schedule, conflict budgets, theory
 //!    limits — so an outcome recorded under one solver configuration can
 //!    never answer a query issued under a different one. The cache sits
 //!    behind a `parking_lot::Mutex` so parallel POT verification shares one
@@ -19,33 +22,25 @@
 //!    crash-safe (temp file + atomic rename) and merge with concurrent
 //!    writers instead of overwriting them. Every Sat/Unsat answer a solver
 //!    gives is stored back.
-//! 2. **Session (one instance).** A single-instance portfolio solves through
-//!    its [`SessionBroker`], which keeps incremental [`SolveSession`]s keyed
-//!    by path prefix, or drops each session after its query (the one-shot
-//!    ablation, [`Portfolio::keep_sessions`]).
-//! 3. **Race (several instances).** Each instance solves its own clone of
-//!    the query's cone-of-influence slice ([`TermArena::slice`]) on a scoped
-//!    thread. All share one cancel flag; the first Sat or Unsat sets it and
-//!    wins, and the SAT cores of the losers see it at their next conflict
-//!    poll. `check` returns only after every loser has stopped, so all raced
-//!    SAT work is already in the portfolio's attribution sink.
+//! 2. **Session.** On a miss the portfolio solves through its
+//!    [`SessionBroker`], on the calling thread. The broker keeps incremental
+//!    [`SolveSession`]s keyed by path prefix, or drops each session after its
+//!    query (the one-shot ablation, [`Portfolio::keep_sessions`]).
 //!
 //! The caller passes the fingerprint: the engine serializes every query
 //! once, for Fig. 7 accounting, and the portfolio never serializes.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use tpot_sat::{SatSink, SolveStats};
+use tpot_sat::SolveStats;
 use tpot_smt::{TermArena, TermId};
-use tpot_solver::{SmtResult, SmtSolver, SolveSession, SolverConfig, SolverError};
+use tpot_solver::{SmtResult, SolveSession, SolverConfig, SolverError};
 
 use tpot_obs::metrics::LazyCounter;
 
 pub use tpot_proofcache::{fnv1a, mix, CachedOutcome, PotEntry, ProofCache};
 
-static RACES: LazyCounter = LazyCounter::new("portfolio.races");
 static SESSION_HITS: LazyCounter = LazyCounter::new("solver.session.hit");
 static SESSION_MISSES: LazyCounter = LazyCounter::new("solver.session.miss");
 static SESSION_REBLASTED: LazyCounter = LazyCounter::new("solver.session.reblasted_terms");
@@ -57,36 +52,21 @@ const SESSION_CAP: usize = 8;
 /// clones one handle into every worker so POTs see each other's hits.
 pub type SharedCache = Arc<Mutex<ProofCache>>;
 
-/// Digest of one instance's semantically relevant configuration.
+/// Digest of a solver configuration's semantically relevant knobs.
 ///
 /// Folds every knob that changes *which answers the solver can give* —
-/// inprocessing, clause-DB tiering, restart schedule, conflict and theory
-/// budgets, LIA branching — and deliberately excludes
-/// pure identity/diversification state: seeds, names, sinks and cancel
-/// flags never affect a Sat/Unsat verdict (an `Unknown` is never cached),
-/// so keying on them would only fragment the cache across portfolio
-/// members and CI runs.
+/// inprocessing, restart schedule, conflict and theory budgets — and
+/// deliberately excludes the decision seed: it never affects a Sat/Unsat
+/// verdict (an `Unknown` is never cached), so keying on it would only
+/// fragment the cache.
 pub fn solver_config_digest(cfg: &SolverConfig) -> u64 {
     let mut h = fnv1a(b"tpot-solver-config/v1");
     h = mix(h, cfg.sat.inprocess as u64);
-    h = mix(h, cfg.sat.lbd_core as u64);
-    h = mix(h, cfg.sat.lbd_mid as u64);
     h = mix(h, cfg.sat.restart_base);
     h = mix(h, cfg.sat.conflict_limit.map_or(u64::MAX, |n| n));
     h = mix(h, cfg.sat.default_phase as u64);
     h = mix(h, cfg.lia.max_nodes);
-    h = mix(h, cfg.lia.branch_lowest_index as u64);
     h = mix(h, cfg.max_theory_rounds);
-    h
-}
-
-/// Digest of a whole portfolio: the instance digests folded in order.
-pub fn portfolio_config_digest(configs: &[SolverConfig]) -> u64 {
-    let mut h = fnv1a(b"tpot-portfolio-config/v1");
-    h = mix(h, configs.len() as u64);
-    for cfg in configs {
-        h = mix(h, solver_config_digest(cfg));
-    }
     h
 }
 
@@ -111,8 +91,9 @@ pub struct Counts {
     /// session re-lowers a query's whole cone; a reused one only what its
     /// prefix does not share.
     pub reblasted_terms: u64,
-    /// SAT work of this portfolio's solver calls, sessions and raced
-    /// instances alike.
+    /// SAT work of this portfolio's solver calls: each session's counter
+    /// delta around its check, or a dropped session's whole total. The
+    /// same deltas reach the process-wide `sat.*` registry.
     pub sat: SolveStats,
 }
 
@@ -190,15 +171,6 @@ impl SessionBroker {
         }
     }
 
-    /// Re-points every live session's SAT instance at `sink`. Called on
-    /// shard splits so a cloned broker's inherited sessions report their
-    /// future work to the new shard, not the parent's sink.
-    pub fn set_sink(&mut self, sink: Option<Arc<SatSink>>) {
-        for e in &mut self.entries {
-            e.session.set_sink(sink.clone());
-        }
-    }
-
     /// Checks `prefix ∧ extra`, with `extra` passed as a transient
     /// assumption (the push → assume → check → pop shape branch feasibility
     /// wants, without the pop: the prefix scopes stay open for the next
@@ -269,6 +241,7 @@ impl SessionBroker {
                 ],
             );
             let before = entry.session.terms_blasted();
+            let sat0 = entry.session.sat_stats();
             let result = (|| {
                 while entry.prefix.len() > lcp {
                     entry.session.pop();
@@ -284,6 +257,7 @@ impl SessionBroker {
             let delta = entry.session.terms_blasted() - before;
             counts.reblasted_terms += delta;
             SESSION_REBLASTED.add(delta);
+            counts.sat.add(entry.session.sat_stats().delta(sat0));
             result
         };
         match result {
@@ -363,26 +337,21 @@ fn solve_once(
         .and_then(|()| session.check_assuming(arena, &[extra], need_model));
     counts.reblasted_terms += session.terms_blasted();
     SESSION_REBLASTED.add(session.terms_blasted());
+    counts.sat.add(session.sat_stats());
     result
 }
 
-/// A racing portfolio of SMT solver instances.
+/// One solver configuration behind the persistent query cache.
 pub struct Portfolio {
-    configs: Vec<SolverConfig>,
+    config: SolverConfig,
     /// Optional persistent cache consulted before solving. Shared: parallel
     /// POT drivers hand every portfolio the same handle.
     pub cache: Option<SharedCache>,
     /// What this portfolio did since the last drain.
     pub counts: Counts,
-    /// Solve sessions of a single-instance portfolio.
+    /// Solve sessions.
     pub sessions: SessionBroker,
-    /// Attribution sink: every SAT solve this portfolio causes — through a
-    /// session or a raced instance (the config carries the handle) — adds
-    /// its exact counter delta here. One sink per execution shard makes
-    /// per-POT/per-path attribution exact: the sum over all sinks equals
-    /// the process-wide `sat.*` counter delta.
-    sink: Arc<SatSink>,
-    /// Cache key half: [`portfolio_config_digest`] of the instance configs,
+    /// Cache key half: [`solver_config_digest`] of the configuration,
     /// optionally salted by the caller ([`Self::with_config_salt`]) with
     /// engine-level knobs the portfolio cannot see (address-mode encoding,
     /// incremental sessions). Every persistent-cache access is keyed
@@ -390,21 +359,21 @@ pub struct Portfolio {
     config_digest: u64,
 }
 
+impl Default for Portfolio {
+    fn default() -> Self {
+        Portfolio::new(SolverConfig::default())
+    }
+}
+
 impl Portfolio {
-    /// Builds a portfolio from explicit configurations.
-    pub fn new(mut configs: Vec<SolverConfig>) -> Self {
-        assert!(!configs.is_empty(), "portfolio needs at least one instance");
-        let sink = Arc::new(SatSink::default());
-        for cfg in &mut configs {
-            cfg.sat.sink = Some(sink.clone());
-        }
-        let config_digest = portfolio_config_digest(&configs);
+    /// Builds a portfolio around one solver configuration.
+    pub fn new(config: SolverConfig) -> Self {
+        let config_digest = solver_config_digest(&config);
         Portfolio {
-            configs,
+            config,
             cache: None,
             counts: Counts::default(),
             sessions: SessionBroker::default(),
-            sink,
             config_digest,
         }
     }
@@ -424,21 +393,6 @@ impl Portfolio {
         self.config_digest
     }
 
-    /// Cumulative SAT counters attributed to this portfolio's shard so far.
-    pub fn sat_totals(&self) -> SolveStats {
-        self.sink.load()
-    }
-
-    /// The default portfolio of `n` diversified instances.
-    pub fn with_instances(n: usize) -> Self {
-        Self::new(SolverConfig::portfolio(n))
-    }
-
-    /// A single-instance "portfolio" (ablation baseline).
-    pub fn single() -> Self {
-        Self::new(vec![SolverConfig::default()])
-    }
-
     /// Attaches a private persistent cache.
     pub fn with_cache(self, cache: ProofCache) -> Self {
         self.with_shared_cache(Arc::new(Mutex::new(cache)))
@@ -451,41 +405,25 @@ impl Portfolio {
     }
 
     /// Keeps solve sessions between queries (the default), or drops each
-    /// session after its query (the one-shot ablation). Racing portfolios
-    /// never use sessions.
+    /// session after its query (the one-shot ablation).
     pub fn keep_sessions(mut self, keep: bool) -> Self {
         self.sessions = SessionBroker::new(if keep { SESSION_CAP } else { 0 });
         self
     }
 
-    /// Number of configured instances.
-    pub fn num_instances(&self) -> usize {
-        self.configs.len()
-    }
-
     /// Clones this portfolio for a stolen execution shard: same
-    /// configurations, the *same* shared cache handle, and a deep clone of
+    /// configuration, the *same* shared cache handle, and a deep clone of
     /// the live solve sessions (the prefix handoff), but zeroed counts —
     /// the thief's shard starts attribution at zero so per-shard stats sum
     /// correctly across the fleet.
     pub fn clone_for_shard(&self) -> Self {
         let mut sessions = self.sessions.clone();
         sessions.last_unsat = None;
-        // A fresh attribution sink, installed both into the configs (future
-        // sessions and raced instances) and into the inherited session
-        // clones — the thief's work must land in the thief's sink.
-        let sink = Arc::new(SatSink::default());
-        sessions.set_sink(Some(sink.clone()));
-        let mut configs = self.configs.clone();
-        for cfg in &mut configs {
-            cfg.sat.sink = Some(sink.clone());
-        }
         Portfolio {
-            configs,
+            config: self.config.clone(),
             cache: self.cache.clone(),
             counts: Counts::default(),
             sessions,
-            sink,
             config_digest: self.config_digest,
         }
     }
@@ -494,10 +432,10 @@ impl Portfolio {
     /// query's SMT-LIB text. `need_model = false` allows answering Sat/Unsat
     /// straight from the cache.
     ///
-    /// One instance solves through the session broker; several race (see
-    /// the crate docs). All sessions operate directly on `arena`; callers
-    /// must pass the same arena for the lifetime of this portfolio (the
-    /// engine does: one arena and one portfolio per shard).
+    /// A miss solves through the session broker (see the crate docs). All
+    /// sessions operate directly on `arena`; callers must pass the same
+    /// arena for the lifetime of this portfolio (the engine does: one arena
+    /// and one portfolio per shard).
     pub fn check(
         &mut self,
         arena: &mut TermArena,
@@ -520,14 +458,14 @@ impl Portfolio {
                 None => self.counts.cache_misses += 1,
             }
         }
-        let sat0 = self.sink.load();
-        let result = if let [config] = &self.configs[..] {
-            self.sessions
-                .check(config, arena, prefix, extra, need_model, &mut self.counts)
-        } else {
-            self.race(arena, prefix, extra)
-        };
-        self.counts.sat.add(self.sink.load().delta(sat0));
+        let result = self.sessions.check(
+            &self.config,
+            arena,
+            prefix,
+            extra,
+            need_model,
+            &mut self.counts,
+        );
         let outcome = match &result {
             Ok(SmtResult::Sat(_)) => Some(CachedOutcome::Sat),
             Ok(SmtResult::Unsat) => Some(CachedOutcome::Unsat),
@@ -538,67 +476,13 @@ impl Portfolio {
         }
         result
     }
-
-    /// Races every instance on its own clone of the query's slice; the
-    /// first Sat or Unsat wins. Returns after every instance has stopped.
-    fn race(
-        &self,
-        arena: &TermArena,
-        prefix: &[TermId],
-        extra: TermId,
-    ) -> Result<SmtResult, SolverError> {
-        RACES.add(1);
-        let _span = tpot_obs::span_args(
-            "portfolio",
-            "race",
-            &[("instances", self.configs.len().to_string())],
-        );
-        let mut roots = prefix.to_vec();
-        roots.push(extra);
-        let (sliced, roots) = arena.slice(&roots);
-        let cancel = Arc::new(AtomicBool::new(false));
-        let mut results: Vec<(bool, Result<SmtResult, SolverError>)> = std::thread::scope(|s| {
-            let racers: Vec<_> = self
-                .configs
-                .iter()
-                .map(|cfg| {
-                    let mut cfg = cfg.clone();
-                    cfg.sat.cancel = Some(cancel.clone());
-                    let mut local = sliced.clone();
-                    let (roots, cancel) = (&roots, &cancel);
-                    s.spawn(move || {
-                        let r = SmtSolver::new(cfg).check(&mut local, roots);
-                        let definitive = matches!(r, Ok(SmtResult::Sat(_) | SmtResult::Unsat));
-                        let won = definitive && !cancel.swap(true, Ordering::Relaxed);
-                        (won, r)
-                    })
-                })
-                .collect();
-            racers
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        });
-        match results.iter().position(|(won, _)| *won) {
-            Some(i) => {
-                if tpot_obs::tracing_enabled() {
-                    let name = self.configs[i].name.clone();
-                    tpot_obs::instant("portfolio", "win", &[("instance", name)]);
-                }
-                results.swap_remove(i).1
-            }
-            // Nothing definitive: every instance gave Unknown or an error.
-            None => results.pop().map_or(Ok(SmtResult::Unknown), |(_, r)| r),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
     use tpot_smt::print::{query_fingerprint, to_smtlib};
-    use tpot_smt::{Sort, Value};
+    use tpot_smt::Sort;
 
     fn simple_query(arena: &mut TermArena, sat: bool) -> Vec<TermId> {
         let x = arena.var("x", Sort::BitVec(8));
@@ -613,7 +497,7 @@ mod tests {
     }
 
     /// Pigeonhole principle php(holes+1, holes): unsat, and exponentially
-    /// hard for CDCL — a reliable "slow query" for cancellation tests.
+    /// hard for CDCL — a reliable "slow query" for conflict budgets.
     fn pigeonhole(arena: &mut TermArena, holes: usize) -> Vec<TermId> {
         let pigeons = holes + 1;
         let p: Vec<Vec<TermId>> = (0..pigeons)
@@ -654,48 +538,10 @@ mod tests {
     }
 
     #[test]
-    fn race_returns_first_answer() {
-        let mut a = TermArena::new();
-        let q = simple_query(&mut a, true);
-        let mut p = Portfolio::with_instances(4);
-        match check(&mut p, &mut a, &q, true).unwrap() {
-            SmtResult::Sat(m) => {
-                assert_eq!(m.var("x"), Some(&Value::BitVec(8, 5)));
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn race_unsat() {
-        let mut a = TermArena::new();
-        let q = simple_query(&mut a, false);
-        let mut p = Portfolio::with_instances(3);
-        assert!(check(&mut p, &mut a, &q, false).unwrap().is_unsat());
-    }
-
-    #[test]
-    fn race_joins_every_loser() {
-        // The winner of a pigeonhole race stops the others through the
-        // shared cancel flag, and `check` returns only once they have
-        // stopped: nothing raced reports to the sink afterwards.
-        let mut a = TermArena::new();
-        let q = pigeonhole(&mut a, 7);
-        let mut p = Portfolio::with_instances(4);
-        assert!(check(&mut p, &mut a, &q, false).unwrap().is_unsat());
-        let first = p.sat_totals();
-        assert!(first.solves >= 1, "the winner's solve is attributed");
-        std::thread::sleep(Duration::from_millis(200));
-        assert_eq!(p.sat_totals(), first, "a loser reported after check");
-        assert_eq!(p.counts.sat, first);
-        assert!(p.sessions.is_empty(), "racing portfolios open no sessions");
-    }
-
-    #[test]
     fn cache_avoids_resolving() {
         let mut a = TermArena::new();
         let q = simple_query(&mut a, false);
-        let mut p = Portfolio::single().with_cache(ProofCache::in_memory());
+        let mut p = Portfolio::default().with_cache(ProofCache::in_memory());
         assert!(check(&mut p, &mut a, &q, false).unwrap().is_unsat());
         assert!(check(&mut p, &mut a, &q, false).unwrap().is_unsat());
         assert_eq!(p.counts.cache_misses, 1, "second query must hit the cache");
@@ -712,27 +558,27 @@ mod tests {
         let mut a = TermArena::new();
         let q = simple_query(&mut a, false);
         let cache: SharedCache = Arc::new(Mutex::new(ProofCache::in_memory()));
-        let mut p1 = Portfolio::single().with_shared_cache(cache.clone());
+        let mut p1 = Portfolio::default().with_shared_cache(cache.clone());
         assert!(check(&mut p1, &mut a, &q, false).unwrap().is_unsat());
         assert_eq!(p1.counts.cache_misses, 1);
 
         let mut inproc_off = SolverConfig::default();
         inproc_off.sat.inprocess = !inproc_off.sat.inprocess;
-        let mut p2 = Portfolio::new(vec![inproc_off]).with_shared_cache(cache.clone());
+        let mut p2 = Portfolio::new(inproc_off).with_shared_cache(cache.clone());
         assert_ne!(p1.config_digest(), p2.config_digest());
         assert!(check(&mut p2, &mut a, &q, false).unwrap().is_unsat());
         assert_eq!(p2.counts.cache_hits, 0, "different digest must miss");
         assert_eq!(p2.counts.cache_misses, 1, "and therefore re-solve");
 
         // An engine-level salt splits otherwise-identical portfolios too.
-        let mut p3 = Portfolio::single()
+        let mut p3 = Portfolio::default()
             .with_config_salt(0xabcd)
             .with_shared_cache(cache.clone());
         assert!(check(&mut p3, &mut a, &q, false).unwrap().is_unsat());
         assert_eq!(p3.counts.cache_hits, 0);
 
         // Same config as p1: clean hit.
-        let mut p4 = Portfolio::single().with_shared_cache(cache);
+        let mut p4 = Portfolio::default().with_shared_cache(cache);
         assert!(check(&mut p4, &mut a, &q, false).unwrap().is_unsat());
         assert_eq!(p4.counts.cache_hits, 1);
         assert!(p4.counts.sat.is_zero(), "a cache hit runs no solver");
@@ -740,13 +586,12 @@ mod tests {
 
     #[test]
     fn seed_diversity_shares_cache_entries() {
-        // The completeness half: seeds (and names) are pure
-        // diversification, so differently-seeded instances must share
-        // entries rather than fragment the cache.
+        // The completeness half: a seed cannot change a verdict, so
+        // differently-seeded configurations must share entries rather than
+        // fragment the cache.
         let base = SolverConfig::default();
         let mut reseeded = base.clone();
-        reseeded.sat = reseeded.sat.with_seed(12345);
-        reseeded.name = "reseeded".into();
+        reseeded.sat.seed = 12345;
         assert_eq!(solver_config_digest(&base), solver_config_digest(&reseeded));
         let mut inproc_off = base.clone();
         inproc_off.sat.inprocess = !inproc_off.sat.inprocess;
@@ -760,7 +605,7 @@ mod tests {
     fn model_needed_bypasses_cache() {
         let mut a = TermArena::new();
         let q = simple_query(&mut a, true);
-        let mut p = Portfolio::single().with_cache(ProofCache::in_memory());
+        let mut p = Portfolio::default().with_cache(ProofCache::in_memory());
         assert!(check(&mut p, &mut a, &q, false).unwrap().is_sat());
         // Need a model: must re-solve even though the outcome is cached.
         match check(&mut p, &mut a, &q, true).unwrap() {
@@ -782,7 +627,7 @@ mod tests {
         let p0 = a.int_le(c0, x); // x >= 0
         let p1 = a.int_le(c0, y); // y >= 0
         let p2 = a.int_le(sum, c10); // x + y <= 10
-        let mut p = Portfolio::single();
+        let mut p = Portfolio::default();
         // Growing path prefix, like branch feasibility along one path.
         let q1 = a.int_le(x, c10);
         assert!(check(&mut p, &mut a, &[p0, q1], false).unwrap().is_sat());
@@ -817,7 +662,7 @@ mod tests {
         let br_a = a.eq(x, c2);
         let br_b = a.eq(x, c3);
         let t = a.tru();
-        let mut p = Portfolio::single();
+        let mut p = Portfolio::default();
         // Branch A then sibling branch B: the broker pops A, pushes B.
         assert!(check(&mut p, &mut a, &[p0, br_a, t], false)
             .unwrap()
@@ -835,9 +680,9 @@ mod tests {
 
     #[test]
     fn kept_and_dropped_sessions_agree() {
-        // The same queries through kept sessions, one-shot sessions and a
-        // race must agree (spot check; the fuzzer's incremental-vs-oneshot
-        // mode does this at scale).
+        // The same queries through kept and one-shot sessions must agree
+        // (spot check; the fuzzer's incremental-vs-oneshot mode does this
+        // at scale).
         let mut a = TermArena::new();
         let x = a.var("ix", Sort::Int);
         let c0 = a.int_const(0);
@@ -850,16 +695,13 @@ mod tests {
         let c7 = a.int_const(7);
         let eq7 = a.eq(x, c7);
         let cases = [vec![disj, eq3], vec![disj, eq7], vec![disj]];
-        let mut kept = Portfolio::single();
-        let mut dropped = Portfolio::single().keep_sessions(false);
-        let mut raced = Portfolio::with_instances(2);
+        let mut kept = Portfolio::default();
+        let mut dropped = Portfolio::default().keep_sessions(false);
         for q in cases {
             let r_kept = check(&mut kept, &mut a, &q, true).unwrap();
-            for other in [&mut dropped, &mut raced] {
-                let r = check(other, &mut a, &q, true).unwrap();
-                assert_eq!(r.is_sat(), r_kept.is_sat(), "disagree on {q:?}");
-                assert_eq!(r.is_unsat(), r_kept.is_unsat());
-            }
+            let r = check(&mut dropped, &mut a, &q, true).unwrap();
+            assert_eq!(r.is_sat(), r_kept.is_sat(), "disagree on {q:?}");
+            assert_eq!(r.is_unsat(), r_kept.is_unsat());
         }
     }
 
@@ -871,7 +713,7 @@ mod tests {
         let p0 = a.bv_ult(c1, x);
         let t = a.tru();
         let eq1 = a.eq(x, c1);
-        let mut p = Portfolio::single().keep_sessions(false);
+        let mut p = Portfolio::default().keep_sessions(false);
         assert!(check(&mut p, &mut a, &[p0, t], false).unwrap().is_sat());
         assert!(check(&mut p, &mut a, &[p0, eq1], false).unwrap().is_unsat());
         assert!(p.sessions.is_empty(), "no session outlives its query");
@@ -891,7 +733,7 @@ mod tests {
         let hard = a.and(&hard);
         let mut cfg = SolverConfig::default();
         cfg.sat.conflict_limit = Some(5);
-        let mut p = Portfolio::new(vec![cfg]);
+        let mut p = Portfolio::new(cfg);
         let b = a.var("b", Sort::Bool);
         assert!(check(&mut p, &mut a, &[b, t], false).unwrap().is_sat());
         assert_eq!(p.sessions.len(), 1);
@@ -900,19 +742,9 @@ mod tests {
         assert_eq!(p.counts.session_hits, 1);
         assert_eq!(p.counts.session_fallbacks, 1);
         assert!(p.sessions.is_empty());
-    }
-
-    #[test]
-    fn racing_portfolio_opens_no_sessions() {
-        let mut a = TermArena::new();
-        let q = simple_query(&mut a, false);
-        let mut p = Portfolio::with_instances(3);
-        assert!(check(&mut p, &mut a, &q, false).unwrap().is_unsat());
-        assert!(
-            p.sessions.is_empty(),
-            "racing portfolios must not open sessions"
-        );
-        assert_eq!(p.counts.session_hits + p.counts.session_misses, 0);
+        // One SAT solve each: the first query, the retired session's
+        // attempt and the fresh retry.
+        assert_eq!(p.counts.sat.solves, 3);
     }
 
     #[test]
@@ -920,13 +752,13 @@ mod tests {
         let mut a = TermArena::new();
         let q = simple_query(&mut a, false);
         let cache: SharedCache = Arc::new(Mutex::new(ProofCache::in_memory()));
-        let mut oneshot = Portfolio::single()
+        let mut oneshot = Portfolio::default()
             .keep_sessions(false)
             .with_shared_cache(cache.clone());
         assert!(check(&mut oneshot, &mut a, &q, false).unwrap().is_unsat());
         // The one-shot outcome answers the session portfolio without ever
         // opening a session.
-        let mut p = Portfolio::single().with_shared_cache(cache);
+        let mut p = Portfolio::default().with_shared_cache(cache);
         assert!(check(&mut p, &mut a, &q, false).unwrap().is_unsat());
         assert!(p.sessions.is_empty());
         assert_eq!(p.counts.cache_hits, 1);
@@ -934,58 +766,55 @@ mod tests {
     }
 
     #[test]
-    fn sink_sees_session_and_raced_work() {
+    fn counts_see_kept_and_dropped_session_work() {
+        // A bitvector query takes exactly one SAT solve (no theory
+        // rounds), so the counts must show one solve per query: a kept
+        // session's work is counted as its delta, never its running total.
         let mut a = TermArena::new();
-        let q = simple_query(&mut a, false);
-        // A dropped session.
-        let mut p = Portfolio::single().keep_sessions(false);
-        assert!(check(&mut p, &mut a, &q, false).unwrap().is_unsat());
-        let t1 = p.sat_totals();
-        assert!(t1.solves >= 1, "one-shot solve must be attributed: {t1:?}");
-        // A kept session on another portfolio reports to its own sink.
+        let x = a.var("x", Sort::BitVec(8));
+        let c1 = a.bv_const(8, 1);
+        let p0 = a.bv_ult(c1, x);
         let t = a.tru();
-        let mut kept = Portfolio::single();
-        assert!(check(&mut kept, &mut a, &[q[0], t], false)
-            .unwrap()
-            .is_sat());
-        assert!(kept.sat_totals().solves >= 1);
-        assert_eq!(p.sat_totals(), t1);
-        // Raced instances report through their configs' shared handle.
-        let mut r = Portfolio::with_instances(3);
-        assert!(check(&mut r, &mut a, &q, false).unwrap().is_unsat());
-        assert!(r.sat_totals().solves >= 1);
-        assert_eq!(r.counts.sat, r.sat_totals());
+        let eq1 = a.eq(x, c1);
+        let c2 = a.bv_const(8, 2);
+        let eq2 = a.eq(x, c2);
+        let queries = [[p0, t], [p0, eq1], [p0, eq2]];
+        let mut kept = Portfolio::default();
+        let mut dropped = Portfolio::default().keep_sessions(false);
+        for (n, q) in (1..).zip(&queries) {
+            for p in [&mut kept, &mut dropped] {
+                check(p, &mut a, q, false).unwrap();
+                assert_eq!(p.counts.sat.solves, n, "after query {n}");
+            }
+        }
+        assert_eq!(kept.counts.session_hits, 2, "one session served all");
+        assert_eq!(dropped.counts.session_misses, 3);
     }
 
     #[test]
-    fn shard_clone_gets_a_fresh_sink() {
+    fn shard_clone_starts_counts_at_zero() {
+        // Bitvector queries: one SAT solve each (see above).
         let mut a = TermArena::new();
-        let x = a.var("ix", Sort::Int);
-        let c0 = a.int_const(0);
-        let p0 = a.int_le(c0, x);
+        let x = a.var("x", Sort::BitVec(8));
+        let c1 = a.bv_const(8, 1);
+        let p0 = a.bv_ult(c1, x);
         let t = a.tru();
-        let mut parent = Portfolio::single();
+        let mut parent = Portfolio::default();
         assert!(check(&mut parent, &mut a, &[p0, t], false)
             .unwrap()
             .is_sat());
-        let parent_before = parent.sat_totals();
-        assert!(parent_before.solves >= 1);
+        assert_eq!(parent.counts.sat.solves, 1);
         let mut child = parent.clone_for_shard();
-        assert!(child.sat_totals().is_zero(), "thief starts at zero");
-        assert!(child.counts.sat.is_zero());
-        // The inherited session clone reports to the child's sink now.
-        let c5 = a.int_const(5);
-        let ge5 = a.int_le(c5, x);
-        assert!(check(&mut child, &mut a, &[p0, ge5], false)
+        assert!(child.counts.sat.is_zero(), "thief starts at zero");
+        // The inherited session's new work is the child's alone.
+        let c5 = a.bv_const(8, 5);
+        let eq5 = a.eq(x, c5);
+        assert!(check(&mut child, &mut a, &[p0, eq5], false)
             .unwrap()
             .is_sat());
         assert_eq!(child.counts.session_hits, 1, "the inherited session");
-        assert!(child.sat_totals().solves >= 1);
-        assert_eq!(
-            parent.sat_totals().solves,
-            parent_before.solves,
-            "child work must not leak into the parent's sink"
-        );
+        assert_eq!(child.counts.sat.solves, 1, "only the child's own solve");
+        assert_eq!(parent.counts.sat.solves, 1, "nothing leaks to the parent");
     }
 
     #[test]
@@ -998,7 +827,7 @@ mod tests {
         let y1 = a.eq(y, c1); // irrelevant prefix term
         let br = a.eq(x, c3);
         let ne = a.neq(x, c3);
-        let mut p = Portfolio::single();
+        let mut p = Portfolio::default();
         assert!(check(&mut p, &mut a, &[y1, br, ne], false)
             .unwrap()
             .is_unsat());

@@ -1,13 +1,6 @@
 //! SAT solver configuration.
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
-
 /// Tunable parameters of the CDCL solver.
-///
-/// Portfolio instances differ in these knobs (plus the seed), mirroring the
-/// paper's Z3 portfolio whose instances differ in "configuration parameters
-/// (e.g., arithmetic solver, branch/cut ratio, number of threads)" (§5).
 #[derive(Clone, Debug)]
 pub struct SatConfig {
     /// VSIDS activity decay factor (activity is divided by this after each
@@ -24,15 +17,9 @@ pub struct SatConfig {
     /// Initial polarity for unassigned, never-flipped variables.
     pub default_phase: bool,
     /// Maximum number of conflicts before giving up (`None` = unlimited).
-    /// The portfolio uses finite budgets on speculative configurations;
-    /// the full-strength instance is unlimited.
     pub conflict_limit: Option<u64>,
     /// Learned-clause database reduction threshold factor.
     pub learntsize_factor: f64,
-    /// Cooperative cancellation flag, polled periodically during search.
-    /// The portfolio sets it once a racing instance wins, so losers stop
-    /// burning CPU (the paper's portfolio kills losing Z3 processes).
-    pub cancel: Option<Arc<AtomicBool>>,
     /// Inprocessing between solves: bounded variable elimination,
     /// subsumption/self-subsumption and clause vivification
     /// (`TPOT_INPROCESS`). Frozen variables (the bit-blaster's interface
@@ -43,18 +30,6 @@ pub struct SatConfig {
     /// deleted clause is recorded; [`crate::Solver::check_proof`] replays
     /// the log through the independent RUP checker.
     pub proof: bool,
-    /// LBD at or below which a learned clause is *core*: never deleted by
-    /// database reduction (`TPOT_LBD_CORE`).
-    pub lbd_core: u32,
-    /// LBD at or below which a learned clause is *mid-tier*: kept while it
-    /// participates in conflicts, demoted to the local tier when idle
-    /// (`TPOT_LBD_MID`).
-    pub lbd_mid: u32,
-    /// Attribution sink: every completed `solve` adds its exact counter
-    /// delta here (in addition to the process-wide `sat.*` metrics). The
-    /// portfolio layer installs one sink per execution shard so per-POT
-    /// and per-path solver stats are exact under any scheduling.
-    pub sink: Option<Arc<crate::stats::SatSink>>,
     /// Blame tracking (`TPOT_BLAME`): count, per *tracked* variable (the
     /// session layer tracks its activation literals), how many learned
     /// clauses mention it — the conflict-participation signal behind the
@@ -74,41 +49,10 @@ impl Default for SatConfig {
             default_phase: false,
             conflict_limit: None,
             learntsize_factor: 1.0 / 3.0,
-            cancel: None,
             inprocess: obs.inprocess.unwrap_or(true),
             proof: obs.proof.unwrap_or(false),
-            lbd_core: obs.lbd_core.unwrap_or(2),
-            lbd_mid: obs.lbd_mid.unwrap_or(6),
-            sink: None,
             blame: obs.blame.unwrap_or(false),
         }
-    }
-}
-
-impl SatConfig {
-    /// An aggressive-restart configuration (good on crafted instances).
-    pub fn aggressive() -> Self {
-        SatConfig {
-            restart_base: 32,
-            var_decay: 0.85,
-            ..Self::default()
-        }
-    }
-
-    /// A stable configuration with slow restarts (good on large instances).
-    pub fn stable() -> Self {
-        SatConfig {
-            restart_base: 512,
-            var_decay: 0.99,
-            random_decision_freq: 0.0,
-            ..Self::default()
-        }
-    }
-
-    /// Derives a variant with a different seed (portfolio diversification).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 }
 
@@ -147,14 +91,5 @@ mod tests {
                 .map(|x: u64| x / 2)
                 .collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn configs_differ() {
-        let a = SatConfig::aggressive();
-        let b = SatConfig::stable();
-        assert_ne!(a.restart_base, b.restart_base);
-        let c = SatConfig::default().with_seed(7);
-        assert_eq!(c.seed, 7);
     }
 }

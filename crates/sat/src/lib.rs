@@ -18,10 +18,6 @@
 //!   ([`inprocess`]),
 //! - DRAT proof logging with an independent RUP checker ([`proof`], and the
 //!   `drat_check` binary for proofs produced by other solvers).
-//!
-//! Configuration knobs ([`SatConfig`]) exist so the portfolio layer can race
-//! differently-configured instances, reproducing the paper's 15-instance Z3
-//! portfolio (§4.4).
 
 pub mod config;
 pub mod dimacs;
@@ -34,4 +30,4 @@ pub use config::SatConfig;
 pub use dimacs::{parse_dimacs, solver_from_dimacs, Dimacs, DimacsError};
 pub use proof::{check_steps, dimacs_lit, parse_drat, CheckStats, ProofLog, ProofStep};
 pub use solver::{Lit, SatResult, Solver, Var};
-pub use stats::{SatSink, SolveStats};
+pub use stats::SolveStats;

@@ -2,6 +2,15 @@
 
 use crate::config::{luby, SatConfig};
 use crate::proof::ProofLog;
+use crate::stats::SolveStats;
+
+/// LBD at or below which a learned clause is *core*: never deleted by
+/// clause-database reduction.
+pub const LBD_CORE: u32 = 2;
+
+/// LBD at or below which a learned clause is *mid-tier*: kept while it
+/// participates in conflicts, demoted to the local tier when idle.
+pub const LBD_MID: u32 = 6;
 
 /// A propositional variable, numbered from 0.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -109,8 +118,7 @@ pub(crate) struct Watcher {
 ///
 /// `Clone` produces an independent solver with the same clause database,
 /// trail, and saved phases — the substrate for migrating an incremental
-/// solve session to another worker (path-level work stealing). The only
-/// shared handle is `config.cancel`, which is cooperative by design.
+/// solve session to another worker (path-level work stealing).
 #[derive(Clone)]
 pub struct Solver {
     pub(crate) config: SatConfig,
@@ -180,6 +188,10 @@ pub struct Solver {
     pub num_inprocess_passes: u64,
     /// Statistics: completed `solve` calls.
     pub num_solves: u64,
+    /// Sum of every `solve` call's counter delta: the in-search work the
+    /// `sat.*` registry also receives. Level-0 propagation done while
+    /// clauses are added happens outside `solve` and is not in it.
+    solved: SolveStats,
     /// Blame tracking (`SatConfig::blame`): variables whose
     /// conflict-participation is counted, and the per-variable hit counts.
     /// Indexed by variable; both stay empty unless a caller tracks a var.
@@ -247,15 +259,17 @@ impl Solver {
             num_vivified_lits: 0,
             num_inprocess_passes: 0,
             num_solves: 0,
+            solved: SolveStats::default(),
             tracked: Vec::new(),
             tracked_hits: Vec::new(),
             last_core: None,
         }
     }
 
-    /// Snapshot of this instance's cumulative counters.
-    pub fn stats(&self) -> crate::stats::SolveStats {
-        crate::stats::SolveStats {
+    /// Snapshot of this instance's cumulative counters, setup propagation
+    /// included.
+    fn stats(&self) -> SolveStats {
+        SolveStats {
             solves: self.num_solves,
             conflicts: self.num_conflicts,
             decisions: self.num_decisions,
@@ -269,11 +283,11 @@ impl Solver {
         }
     }
 
-    /// Installs (or clears) the attribution sink future solves report to.
-    /// Used by the portfolio layer when a cloned session migrates to a new
-    /// execution shard.
-    pub fn set_sink(&mut self, sink: Option<std::sync::Arc<crate::stats::SatSink>>) {
-        self.config.sink = sink;
+    /// Cumulative counters of this instance's `solve` calls: the sum of
+    /// the per-solve deltas the `sat.*` registry received from it. Callers
+    /// read deltas around a solve for exact per-query attribution.
+    pub fn solve_totals(&self) -> SolveStats {
+        self.solved
     }
 
     /// Starts counting conflict participation for `v` (blame tracking):
@@ -835,25 +849,23 @@ impl Solver {
 
     /// Tiered learnt-clause reduction (core/mid/local):
     ///
-    /// - **core** (LBD ≤ `lbd_core`, or binary): never deleted — low-glue
+    /// - **core** (LBD ≤ [`LBD_CORE`], or binary): never deleted — low-glue
     ///   clauses are the backbone of the learnt database;
-    /// - **mid** (LBD ≤ `lbd_mid`): kept while the clause participated in
+    /// - **mid** (LBD ≤ [`LBD_MID`]): kept while the clause participated in
     ///   conflict analysis since the previous reduction, demoted to the
     ///   local pool when idle;
     /// - **local** (everything else): activity-sorted, the colder half is
     ///   deleted every reduction.
     fn reduce_db(&mut self) {
-        let lbd_core = self.config.lbd_core;
-        let lbd_mid = self.config.lbd_mid;
         let mut cands: Vec<usize> = Vec::new();
         for (i, c) in self.clauses.iter_mut().enumerate() {
             if !c.learnt || c.lits.len() <= 2 {
                 continue;
             }
-            if c.lbd <= lbd_core {
+            if c.lbd <= LBD_CORE {
                 continue; // core: immortal
             }
-            if c.lbd <= lbd_mid && c.used {
+            if c.lbd <= LBD_MID && c.used {
                 c.used = false; // mid: survives this round, re-arm
                 continue;
             }
@@ -981,8 +993,8 @@ impl Solver {
     /// [`Solver::assumption_core`] reports a sufficient subset of them.
     pub fn solve(&mut self, assumptions: &[Lit]) -> SatResult {
         // Snapshot the per-instance counters so both the process-wide
-        // registry and the per-shard attribution sink receive the same
-        // exact delta, with zero cost on the inner loops.
+        // registry and the in-solve total receive the same exact delta,
+        // with zero cost on the inner loops.
         let before = self.stats();
         self.last_core = None;
         // Assumption variables must survive elimination: their truth value
@@ -1017,9 +1029,7 @@ impl Solver {
             histogram("sat.db.local").observe(local as u64);
             counter("sat.solves").inc();
         }
-        if let Some(sink) = &self.config.sink {
-            sink.add(delta);
-        }
+        self.solved.add(delta);
         result
     }
 
@@ -1033,17 +1043,17 @@ impl Solver {
         self.proof.as_deref()
     }
 
-    /// Learnt clauses per tier `(core, mid, local)` under the configured
-    /// LBD thresholds.
+    /// Learnt clauses per tier `(core, mid, local)` under the LBD
+    /// thresholds [`LBD_CORE`] and [`LBD_MID`].
     pub fn db_tier_counts(&self) -> (usize, usize, usize) {
         let (mut core, mut mid, mut local) = (0, 0, 0);
         for c in &self.clauses {
             if !c.learnt {
                 continue;
             }
-            if c.lbd <= self.config.lbd_core || c.lits.len() <= 2 {
+            if c.lbd <= LBD_CORE || c.lits.len() <= 2 {
                 core += 1;
-            } else if c.lbd <= self.config.lbd_mid {
+            } else if c.lbd <= LBD_MID {
                 mid += 1;
             } else {
                 local += 1;
@@ -1216,14 +1226,6 @@ impl Solver {
                     if self.conflicts - start_conflicts >= limit {
                         self.backtrack(0);
                         return SatResult::Unknown;
-                    }
-                }
-                if self.conflicts.is_multiple_of(64) {
-                    if let Some(c) = &self.config.cancel {
-                        if c.load(std::sync::atomic::Ordering::Relaxed) {
-                            self.backtrack(0);
-                            return SatResult::Unknown;
-                        }
                     }
                 }
                 if self.num_learnt as f64 > max_learnts {
@@ -1564,7 +1566,7 @@ mod tests {
     #[test]
     fn reduce_db_never_drops_core_clauses() {
         // Learn on a hard instance, then hammer reduce_db: every learnt
-        // clause in the core tier (LBD ≤ lbd_core, or binary) must survive
+        // clause in the core tier (LBD ≤ LBD_CORE, or binary) must survive
         // arbitrarily many reductions.
         let cfg = SatConfig {
             inprocess: false,
@@ -1590,7 +1592,7 @@ mod tests {
         let core_of = |s: &Solver| -> Vec<Vec<Lit>> {
             s.clauses
                 .iter()
-                .filter(|c| c.learnt && (c.lbd <= s.config.lbd_core || c.lits.len() <= 2))
+                .filter(|c| c.learnt && (c.lbd <= LBD_CORE || c.lits.len() <= 2))
                 .map(|c| {
                     let mut l = c.lits.clone();
                     l.sort_unstable();

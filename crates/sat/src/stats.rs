@@ -1,18 +1,15 @@
-//! Per-instance solve statistics and the attribution sink.
+//! Per-instance solve statistics.
 //!
 //! Every [`Solver`](crate::Solver) maintains exact per-instance counters
 //! (`num_conflicts`, `num_decisions`, …) and computes a per-`solve` delta
-//! from them. [`SolveStats`] is the copyable snapshot of those counters;
-//! [`SatSink`] is a shared accumulator that receives each solve's exact
-//! delta. The portfolio layer installs one sink per solver *context*
-//! (execution shard), so higher layers can attribute SAT work to the POT
-//! and path that issued it with no overlap — no matter how many contexts
-//! run concurrently. The process-wide `sat.*` metric counters keep
-//! receiving the same deltas; the invariant `sum over sinks == global
-//! delta` is what the `counter_parity` fuzz mode and the engine's
+//! from them. [`SolveStats`] is the copyable snapshot of those counters.
+//! Each delta goes both to the process-wide `sat.*` metric counters and to
+//! the instance's own in-solve total
+//! ([`Solver::solve_totals`](crate::Solver::solve_totals)), which the
+//! session layer reads before and after a check to attribute SAT work to
+//! the POT and path that issued it. The invariant `sum of attributed deltas
+//! == global delta` is what the `counter_parity` fuzz mode and the engine's
 //! `pkvm_invariants` test check.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Snapshot of one solver instance's cumulative counters (or a delta
 /// between two snapshots — the fields are plain sums either way).
@@ -78,61 +75,6 @@ impl SolveStats {
     }
 }
 
-/// A shared, thread-safe accumulator of per-solve deltas.
-///
-/// Installed into a solver via [`SatConfig::sink`](crate::SatConfig);
-/// every completed `solve` adds its exact counter delta. Cloned solvers
-/// (session handoff) keep the handle until the new owner re-installs its
-/// own — the portfolio layer does exactly that on shard splits.
-#[derive(Debug, Default)]
-pub struct SatSink {
-    solves: AtomicU64,
-    conflicts: AtomicU64,
-    decisions: AtomicU64,
-    propagations: AtomicU64,
-    restarts: AtomicU64,
-    learned: AtomicU64,
-    eliminated_vars: AtomicU64,
-    subsumed: AtomicU64,
-    vivified_lits: AtomicU64,
-    proof_lines: AtomicU64,
-}
-
-impl SatSink {
-    /// Accumulates one solve's delta.
-    pub fn add(&self, d: SolveStats) {
-        self.solves.fetch_add(d.solves, Ordering::Relaxed);
-        self.conflicts.fetch_add(d.conflicts, Ordering::Relaxed);
-        self.decisions.fetch_add(d.decisions, Ordering::Relaxed);
-        self.propagations
-            .fetch_add(d.propagations, Ordering::Relaxed);
-        self.restarts.fetch_add(d.restarts, Ordering::Relaxed);
-        self.learned.fetch_add(d.learned, Ordering::Relaxed);
-        self.eliminated_vars
-            .fetch_add(d.eliminated_vars, Ordering::Relaxed);
-        self.subsumed.fetch_add(d.subsumed, Ordering::Relaxed);
-        self.vivified_lits
-            .fetch_add(d.vivified_lits, Ordering::Relaxed);
-        self.proof_lines.fetch_add(d.proof_lines, Ordering::Relaxed);
-    }
-
-    /// The cumulative totals received so far.
-    pub fn load(&self) -> SolveStats {
-        SolveStats {
-            solves: self.solves.load(Ordering::Relaxed),
-            conflicts: self.conflicts.load(Ordering::Relaxed),
-            decisions: self.decisions.load(Ordering::Relaxed),
-            propagations: self.propagations.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
-            learned: self.learned.load(Ordering::Relaxed),
-            eliminated_vars: self.eliminated_vars.load(Ordering::Relaxed),
-            subsumed: self.subsumed.load(Ordering::Relaxed),
-            vivified_lits: self.vivified_lits.load(Ordering::Relaxed),
-            proof_lines: self.proof_lines.load(Ordering::Relaxed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,28 +97,5 @@ mod tests {
         b.add(a);
         assert_eq!(b.delta(a), a);
         assert!(a.delta(b).is_zero(), "saturating: no underflow");
-    }
-
-    #[test]
-    fn sink_accumulates_concurrently() {
-        let sink = std::sync::Arc::new(SatSink::default());
-        let d = SolveStats {
-            solves: 1,
-            conflicts: 2,
-            ..SolveStats::default()
-        };
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let sink = sink.clone();
-                s.spawn(move || {
-                    for _ in 0..100 {
-                        sink.add(d);
-                    }
-                });
-            }
-        });
-        let got = sink.load();
-        assert_eq!(got.solves, 800);
-        assert_eq!(got.conflicts, 1600);
     }
 }

@@ -93,7 +93,12 @@ p cnf 4 4
 -3 -4 0
 ";
     let inst = parse_dimacs(text).expect("valid DIMACS");
-    let mut s = solver_from_dimacs(SatConfig::aggressive(), &inst);
+    let aggressive = SatConfig {
+        restart_base: 32,
+        var_decay: 0.85,
+        ..SatConfig::default()
+    };
+    let mut s = solver_from_dimacs(aggressive, &inst);
     assert_eq!(s.solve(&[]), SatResult::Sat);
     let verdicts: Vec<SatResult> = (0..4)
         .map(|v| s.solve(&[tpot_sat::Lit::pos(Var(v))]))

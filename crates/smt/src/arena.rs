@@ -29,8 +29,8 @@ pub struct FuncDecl {
 ///
 /// The arena owns every term ever built; terms are immutable and deduplicated
 /// structurally. Variables and uninterpreted functions are interned by name.
-/// `Clone` is used by the solver portfolio: each racing instance works on its
-/// own copy (term ids remain aligned across clones).
+/// `Clone` is used by the path scheduler: a stolen execution shard works on
+/// its own copy (term ids remain aligned across clones).
 #[derive(Default, Clone)]
 pub struct TermArena {
     terms: Vec<Term>,
@@ -1006,9 +1006,9 @@ impl TermArena {
     /// from `roots`, plus the remapped root ids.
     ///
     /// The arena grows monotonically over a POT run, so late queries assert
-    /// over a tiny fraction of the terms ever built; shipping a slice to each
-    /// racing portfolio instance instead of cloning the full arena makes
-    /// per-query setup proportional to the query, not to the run's history.
+    /// over a tiny fraction of the terms ever built; a slice makes a
+    /// standalone copy of one query (the fuzzer ships its reduced repros
+    /// this way) proportional to the query, not to the run's history.
     ///
     /// Invariants preserved:
     /// - term *structure* is copied verbatim (no re-simplification), so the

@@ -39,17 +39,11 @@ pub enum LiaOutcome {
 pub struct LiaConfig {
     /// Maximum number of branch-and-bound nodes before giving up.
     pub max_nodes: u64,
-    /// Branch on the lowest-index fractional variable (`true`) or the most
-    /// fractional one (`false`) — a portfolio diversification knob.
-    pub branch_lowest_index: bool,
 }
 
 impl Default for LiaConfig {
     fn default() -> Self {
-        LiaConfig {
-            max_nodes: 10_000,
-            branch_lowest_index: true,
-        }
+        LiaConfig { max_nodes: 10_000 }
     }
 }
 
@@ -337,7 +331,7 @@ fn branch_and_bound(
         if nodes > config.max_nodes {
             return Ok(LiaOutcome::Unknown);
         }
-        let Some((v, val)) = pick_fractional(&s, live, config) else {
+        let Some((v, val)) = pick_fractional(&s, live) else {
             return Ok(LiaOutcome::Sat(int_model(&s, live)));
         };
         let mut lo = s.clone();
@@ -351,28 +345,12 @@ fn branch_and_bound(
     Ok(LiaOutcome::Unsat((0..n_atoms).collect()))
 }
 
-/// The variable to branch on: the lowest-index fractional one, or the most
-/// fractional one (the first of equals). `live` is in index order.
-fn pick_fractional(
-    s: &Simplex,
-    live: &[(usize, TermId)],
-    config: &LiaConfig,
-) -> Option<(usize, Rat)> {
-    let frac = |r: &Rat| r.sub(&Rat::int(r.floor())).unwrap_or(Rat::ZERO);
-    let mut pick: Option<(usize, Rat)> = None;
-    for &(v, _) in live {
-        let val = s.value(v);
-        if val.is_integer() {
-            continue;
-        }
-        if config.branch_lowest_index {
-            return Some((v, val));
-        }
-        if pick.as_ref().is_none_or(|(_, p)| frac(&val) > frac(p)) {
-            pick = Some((v, val));
-        }
-    }
-    pick
+/// The variable to branch on: the lowest-index fractional one. `live` is
+/// in index order.
+fn pick_fractional(s: &Simplex, live: &[(usize, TermId)]) -> Option<(usize, Rat)> {
+    live.iter()
+        .map(|&(v, _)| (v, s.value(v)))
+        .find(|(_, val)| !val.is_integer())
 }
 
 fn finish_conflict(c: Conflict, n_atoms: usize) -> LiaOutcome {

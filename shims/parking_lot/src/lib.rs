@@ -1,22 +1,19 @@
 //! Offline shim for the `parking_lot` crate.
 //!
 //! The build container has no crates.io access, so the workspace vendors the
-//! tiny API subset it uses: a non-poisoning [`Mutex`] and [`RwLock`] over the
-//! std primitives. Swap this path dependency for the real crate when a
-//! registry is available — the call sites compile unchanged.
+//! tiny API subset it uses: a non-poisoning [`Mutex`] over the std
+//! primitive. Not poisoning is what keeps `tpotd`'s shared proof cache
+//! usable after a panicked engine run. Swap this path dependency for the
+//! real crate when a registry is available — the call sites compile
+//! unchanged.
 
-use std::sync::{self, TryLockError};
+use std::sync;
 
 /// Mutex guard type (re-exported std guard).
 pub type MutexGuard<'a, T> = sync::MutexGuard<'a, T>;
-/// Read guard type.
-pub type RwLockReadGuard<'a, T> = sync::RwLockReadGuard<'a, T>;
-/// Write guard type.
-pub type RwLockWriteGuard<'a, T> = sync::RwLockWriteGuard<'a, T>;
 
 /// A mutual-exclusion lock that, like `parking_lot::Mutex`, does not poison:
 /// a panic while holding the lock leaves the data accessible.
-#[derive(Debug, Default)]
 pub struct Mutex<T: ?Sized>(sync::Mutex<T>);
 
 impl<T> Mutex<T> {
@@ -35,48 +32,6 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, ignoring poisoning.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Attempts to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// A reader-writer lock without poisoning.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Creates a new rwlock.
-    pub const fn new(value: T) -> Self {
-        RwLock(sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires a shared read lock.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires an exclusive write lock.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -103,13 +58,5 @@ mod tests {
         .join();
         // parking_lot semantics: still lockable after a panicking holder.
         assert_eq!(*m.lock(), 0);
-    }
-
-    #[test]
-    fn rwlock_basic() {
-        let l = RwLock::new(5);
-        assert_eq!(*l.read(), 5);
-        *l.write() = 7;
-        assert_eq!(*l.read(), 7);
     }
 }

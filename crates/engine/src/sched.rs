@@ -155,18 +155,7 @@ struct Sched<'m> {
     remaining: AtomicUsize,
     max_states: usize,
     max_insts: u64,
-    /// `TPOT_STATUS` live snapshot sink (`None` = disabled).
-    status_path: Option<std::path::PathBuf>,
-    /// Run start; status snapshots report elapsed time on this clock.
-    started: Instant,
-    /// Milliseconds-since-start of the last status write, plus one
-    /// (0 = never written). Workers race on it with a CAS so at most one
-    /// writes per throttle window.
-    status_stamp: AtomicU64,
 }
-
-/// Minimum milliseconds between two `TPOT_STATUS` snapshot writes.
-const STATUS_PERIOD_MS: u64 = 100;
 
 impl<'m> Sched<'m> {
     /// Accounts for a newly created task. Must run before the task becomes
@@ -197,11 +186,14 @@ impl<'m> Sched<'m> {
         let pr = &self.pots[pot];
         let t0 = pr.t0.lock().take().unwrap_or_else(Instant::now);
         let duration = t0.elapsed();
-        let poisoned = pr.poisoned.lock().take();
-        let (status, stats) = match poisoned {
+        // An errored POT keeps the work it did: its record is the only
+        // place that work is counted per POT.
+        let mut stats = std::mem::take(&mut *pr.stats.lock());
+        stats.live_peak = stats.live_peak.max(pr.live_peak.load(Ordering::Relaxed));
+        let status = match pr.poisoned.lock().take() {
             Some(msg) => {
                 tpot_obs::obs_error!("engine", "POT {}: {msg}", pr.name);
-                (PotStatus::Error(msg), Stats::default())
+                PotStatus::Error(msg)
             }
             None => {
                 let mut keyed = std::mem::take(&mut *pr.violations.lock());
@@ -212,14 +204,11 @@ impl<'m> Sched<'m> {
                 let mut violations: Vec<Violation> = keyed.into_iter().map(|(_, _, v)| v).collect();
                 violations.dedup_by(|a, b| a.kind == b.kind && a.message == b.message);
                 violations.truncate(16);
-                let mut stats = std::mem::take(&mut *pr.stats.lock());
-                stats.live_peak = stats.live_peak.max(pr.live_peak.load(Ordering::Relaxed));
-                let status = if violations.is_empty() {
+                if violations.is_empty() {
                     PotStatus::Proved
                 } else {
                     PotStatus::Failed(violations)
-                };
-                (status, stats)
+                }
             }
         };
         let profile = std::mem::take(&mut *pr.profile.lock());
@@ -272,7 +261,6 @@ impl<'m> Sched<'m> {
                     if self.remaining.load(Ordering::SeqCst) == 0 {
                         break;
                     }
-                    self.maybe_write_status();
                     let _idle = tpot_obs::span("sched", "idle");
                     std::thread::sleep(std::time::Duration::from_micros(200));
                 }
@@ -450,86 +438,6 @@ impl<'m> Sched<'m> {
             pr.poison(e);
         }
         self.consume(pot);
-        self.maybe_write_status();
-    }
-
-    /// Throttled `TPOT_STATUS` snapshot: at most one write per
-    /// [`STATUS_PERIOD_MS`], raced through a CAS so concurrent workers
-    /// never pile up on the file.
-    fn maybe_write_status(&self) {
-        let Some(path) = &self.status_path else {
-            return;
-        };
-        let now = self.started.elapsed().as_millis() as u64 + 1;
-        let last = self.status_stamp.load(Ordering::Relaxed);
-        if last != 0 && now.saturating_sub(last) < STATUS_PERIOD_MS {
-            return;
-        }
-        if self
-            .status_stamp
-            .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        self.write_status(path);
-    }
-
-    /// Unconditional snapshot write (atomic temp+rename, `tpot-status/v1`):
-    /// per-POT progress and per-worker queue depths. A reader always sees
-    /// a complete document; the last complete write wins.
-    fn write_status(&self, path: &std::path::Path) {
-        use tpot_obs::json::Value;
-        let n = |x: u64| Value::Num(x as f64);
-        let queue_depths: Vec<Value> = self
-            .deques
-            .iter()
-            .map(|d| n(d.lock().len() as u64))
-            .collect();
-        let pots: Vec<Value> = self
-            .pots
-            .iter()
-            .map(|pr| {
-                let state = if pr.result.lock().is_some() {
-                    "done"
-                } else if pr.t0.lock().is_some() {
-                    "running"
-                } else {
-                    "queued"
-                };
-                Value::Obj(vec![
-                    ("pot".into(), Value::Str(pr.name.clone())),
-                    ("state".into(), Value::Str(state.into())),
-                    (
-                        "outstanding".into(),
-                        n(pr.outstanding.load(Ordering::Relaxed) as u64),
-                    ),
-                    (
-                        "paths_created".into(),
-                        n(pr.created.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "paths_done".into(),
-                        n(pr.done_paths.load(Ordering::Relaxed)),
-                    ),
-                ])
-            })
-            .collect();
-        let doc = Value::Obj(vec![
-            ("schema".into(), Value::Str("tpot-status/v1".into())),
-            (
-                "elapsed_ms".into(),
-                n(self.started.elapsed().as_millis() as u64),
-            ),
-            (
-                "tasks_remaining".into(),
-                n(self.remaining.load(Ordering::SeqCst) as u64),
-            ),
-            ("workers".into(), n(self.deques.len() as u64)),
-            ("queue_depths".into(), Value::Arr(queue_depths)),
-            ("pots".into(), Value::Arr(pots)),
-        ]);
-        let _ = tpot_obs::write_atomic(path, &doc.render());
     }
 
     /// Attempts one steal: picks victims with the seeded generator, takes
@@ -664,9 +572,6 @@ pub(crate) fn run_verify(
         remaining: AtomicUsize::new(0),
         max_states: config.max_states,
         max_insts: config.max_insts,
-        status_path: tpot_obs::config().status_path.clone(),
-        started: Instant::now(),
-        status_stamp: AtomicU64::new(0),
     };
     let mut roots = Vec::new();
     for (i, pot) in pots.iter().enumerate() {
@@ -701,10 +606,6 @@ pub(crate) fn run_verify(
         // Worker 0 runs on the calling thread, so jobs=1 spawns nothing.
         sched.worker(v, 0, StealRng::new(seed, 0));
     });
-    // Final snapshot so the status file reflects the finished run.
-    if let Some(p) = sched.status_path.clone() {
-        sched.write_status(&p);
-    }
     sched
         .pots
         .into_iter()

@@ -137,7 +137,7 @@ impl Stats {
     /// record; the process-wide `sat.*` registry counters receive the same
     /// deltas from the solver, so summing every record's `sat_*` over a run
     /// reproduces the registry delta exactly (the conservation invariant
-    /// the `counter_parity` fuzz mode checks).
+    /// `crates/engine/tests/pkvm_invariants.rs` checks).
     pub fn add_sat_delta(&mut self, d: tpot_sat::SolveStats) {
         self.sat_solves += d.solves;
         self.sat_conflicts += d.conflicts;
@@ -216,9 +216,11 @@ impl Stats {
     }
 
     /// Mirrors this record into the process-wide metrics registry
-    /// (`tpot-obs`), under `engine.*` names. The per-POT [`Stats`] stays
-    /// the per-POT view; the registry accumulates across POTs and
-    /// processes-wide subsystems and is what `TPOT_METRICS` dumps.
+    /// (`tpot-obs`), under `engine.*` and `solver.session.*` names. The
+    /// per-POT [`Stats`] stays the per-POT view; the registry accumulates
+    /// across POTs and process-wide subsystems and is what `TPOT_METRICS`
+    /// dumps. The scheduler calls this once per finished POT, so it is the
+    /// one writer of every counter below.
     pub fn publish_metrics(&self) {
         use tpot_obs::metrics::counter;
         let us = |d: Duration| d.as_micros() as u64;
@@ -244,6 +246,9 @@ impl Stats {
         counter("engine.fork_bytes_copied").add(self.fork_bytes_copied);
         counter("engine.insts").add(self.insts);
         counter("engine.materializations").add(self.materializations);
+        counter("solver.session.hit").add(self.session_hits);
+        counter("solver.session.miss").add(self.session_misses);
+        counter("solver.session.reblasted_terms").add(self.session_reblasted_terms);
         // The sat_* fields are deltas of counters the SAT cores already
         // publish (`sat.eliminated_vars`, …); re-adding them here would
         // double-count in the registry dump.

@@ -133,18 +133,17 @@ fn pkvm_smoke_pots_keep_verdicts_and_accounting_in_every_mode() {
     );
 
     // Path workers and steal seeds change neither verdicts nor path
-    // counts; at jobs=4 the per-POT SAT counters sum to the registry delta.
+    // counts, and the per-POT SAT counters sum to the SAT core's registry
+    // delta at every worker count and seed.
     let sat_keys = SAT_FIELDS.map(|(k, _)| k);
     for jobs in [2, 4] {
         for seed in [1, 2] {
             let sat0 = registry(&sat_keys);
             let rs = run(&m, EngineConfig::default(), jobs, Some(seed));
             assert_eq!(outcomes(&rs), want, "jobs={jobs} seed={seed}");
-            if jobs == 4 {
-                for ((key, field), global) in SAT_FIELDS.iter().zip(since(&sat_keys, &sat0)) {
-                    let attributed: u64 = rs.iter().map(|r| field(&r.stats)).sum();
-                    assert_eq!(attributed, global, "{key} at jobs=4 seed={seed}");
-                }
+            for ((key, field), global) in SAT_FIELDS.iter().zip(since(&sat_keys, &sat0)) {
+                let attributed: u64 = rs.iter().map(|r| field(&r.stats)).sum();
+                assert_eq!(attributed, global, "{key} at jobs={jobs} seed={seed}");
             }
         }
     }

@@ -1,7 +1,7 @@
 //! End-to-end verification of the paper's running examples (Fig. 1 and
 //! Fig. 5) plus seeded-bug variants.
 
-use tpot_engine::{PotStatus, Verifier, VerifyOptions, ViolationKind};
+use tpot_engine::{EngineConfig, PotStatus, Verifier, VerifyOptions, ViolationKind};
 use tpot_ir::lower;
 
 fn verify(src: &str) -> Vec<tpot_engine::PotResult> {
@@ -259,4 +259,30 @@ void spec__uaf(void) {
         }
         other => panic!("expected UAF, got {other:?}"),
     }
+}
+
+/// A POT that runs out of its instruction budget errors, and its record
+/// keeps the work done before the budget ran out.
+#[test]
+fn errored_pot_keeps_its_stats() {
+    let src = r#"
+int g;
+void spec__spin(void) {
+  any(int, a);
+  if (a > 0) { g = 1; }
+  for (int i = 0; i < 1000; i = i + 1) { g = g + 1; }
+}
+"#;
+    let module = lower(&tpot_cfront::compile(src).unwrap()).unwrap();
+    let cfg = EngineConfig {
+        max_insts: 200,
+        ..EngineConfig::default()
+    };
+    let r = Verifier::with_config(module, cfg).verify_pot("spec__spin");
+    assert!(matches!(r.status, PotStatus::Error(_)), "{:?}", r.status);
+    assert!(
+        r.stats.insts > 0,
+        "an errored POT lost its instruction count"
+    );
+    assert!(r.stats.num_queries > 0, "an errored POT lost its queries");
 }

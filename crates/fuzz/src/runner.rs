@@ -5,7 +5,6 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use tpot_smt::TermArena;
@@ -17,7 +16,7 @@ use crate::gen::{gen_paired, GenConfig, TermGen};
 use crate::meta::metamorphic;
 use crate::reduce::{reduce, write_repro};
 use crate::rng::Rng;
-use crate::sched::{counter_parity, sched_parity};
+use crate::sched::sched_parity;
 use crate::state::fork_vs_replay;
 
 /// Enumeration cap for the brute-force oracle: comfortably above the
@@ -48,13 +47,9 @@ pub enum Mode {
     /// and with N workers + a fresh steal seed must yield identical
     /// per-POT statuses, violations, and path counts.
     SchedParity,
-    /// SAT-counter conservation: per-POT attributed solver counters must
-    /// sum to exactly the process-wide `sat.*` registry delta, at any
-    /// worker count.
-    CounterParity,
 }
 
-pub const ALL_MODES: [Mode; 9] = [
+pub const ALL_MODES: [Mode; 8] = [
     Mode::Grounded,
     Mode::SliceFull,
     Mode::LiaBv,
@@ -63,7 +58,6 @@ pub const ALL_MODES: [Mode; 9] = [
     Mode::IncrementalOneshot,
     Mode::ProofChecked,
     Mode::SchedParity,
-    Mode::CounterParity,
 ];
 
 impl Mode {
@@ -77,7 +71,6 @@ impl Mode {
             Mode::IncrementalOneshot => "incremental_vs_oneshot",
             Mode::ProofChecked => "proof_checked",
             Mode::SchedParity => "sched_parity",
-            Mode::CounterParity => "counter_parity",
         }
     }
 }
@@ -231,10 +224,6 @@ fn run_one(mode: Mode, seed: u64, iter: u64) -> Result<Agreement, Box<Failure>> 
             Ok(()) => Ok(Agreement::Skipped),
             Err(detail) => Err(Box::new((detail, None))),
         },
-        Mode::CounterParity => match counter_parity(&mut rng) {
-            Ok(()) => Ok(Agreement::Skipped),
-            Err(detail) => Err(Box::new((detail, None))),
-        },
         Mode::IncrementalOneshot => {
             let mut arena = TermArena::new();
             let cfg = GenConfig::full();
@@ -276,42 +265,7 @@ fn run_one(mode: Mode, seed: u64, iter: u64) -> Result<Agreement, Box<Failure>> 
     }
 }
 
-/// Serializes fuzz runs within one process.
-///
-/// The `counter_parity` oracle compares per-POT SAT counters with the
-/// process-wide `sat.*` registry, and every mode runs under the global
-/// `tpot_obs` configuration, so a run must not overlap another thread's
-/// solving or reconfiguration. [`run`] takes the lock for its duration; a
-/// caller that reconfigures `tpot_obs` between runs (as the tracing-parity
-/// test does) takes it with [`lock`] and runs through the guard.
-static PROCESS_LOCK: Mutex<()> = Mutex::new(());
-
-/// The process-wide fuzz lock, held until dropped.
-pub struct ProcessLock {
-    _guard: MutexGuard<'static, ()>,
-}
-
-/// Takes the process-wide fuzz lock, waiting for other runs to finish.
-pub fn lock() -> ProcessLock {
-    // The mutex guards no data, so a run that panicked (a failing test)
-    // leaves nothing inconsistent behind.
-    ProcessLock {
-        _guard: PROCESS_LOCK.lock().unwrap_or_else(PoisonError::into_inner),
-    }
-}
-
-impl ProcessLock {
-    /// Runs the fuzzer under this lock.
-    pub fn run(&self, cfg: &RunConfig) -> FuzzReport {
-        run_locked(cfg)
-    }
-}
-
 pub fn run(cfg: &RunConfig) -> FuzzReport {
-    lock().run(cfg)
-}
-
-fn run_locked(cfg: &RunConfig) -> FuzzReport {
     let _span = tpot_obs::span_args(
         "fuzz",
         "run",
@@ -336,10 +290,7 @@ fn run_locked(cfg: &RunConfig) -> FuzzReport {
             Ok(outcome) => {
                 // The engine-level modes have no sat/unsat verdict;
                 // count successful rounds as runs only.
-                if mode != Mode::StateFork
-                    && mode != Mode::SchedParity
-                    && mode != Mode::CounterParity
-                {
+                if mode != Mode::StateFork && mode != Mode::SchedParity {
                     record(&mut stats[slot].1, &outcome);
                 }
             }

@@ -92,57 +92,6 @@ fn outcome_key(results: &[tpot_engine::PotResult]) -> Vec<String> {
         .collect()
 }
 
-/// One round of SAT-counter conservation: verify a random module with a
-/// random worker count and demand that the per-POT solver counters (the
-/// per-shard deltas summed into each `PotResult`) add up to exactly
-/// the process-wide `sat.*` registry delta over the run.
-///
-/// Both totals receive the same per-`solve` deltas from the same solver
-/// instances, so any discrepancy means attribution lost or double-counted
-/// a shard's work (a drain race, a missed fork boundary, a stolen task's
-/// counters landing twice). Exact at any worker count — this is the
-/// "attribution is exact only at jobs=1" caveat, retired. The check
-/// assumes no *other* thread is solving concurrently: modes run one at a
-/// time, and [`crate::runner::run`] holds a process-wide lock, so two runs
-/// in one process (say, two tests) never overlap.
-pub fn counter_parity(rng: &mut Rng) -> Result<(), String> {
-    let src = gen_src(rng);
-    let checked = tpot_cfront::compile(&src)
-        .map_err(|e| format!("generated program failed to compile: {e}\n{src}"))?;
-    let module =
-        tpot_ir::lower(&checked).map_err(|e| format!("generated program failed to lower: {e}"))?;
-    let v = Verifier::new(module);
-    let jobs = 1 + rng.below(4) as usize;
-    let seed = rng.next_u64();
-    // (registry key, per-POT extractor) — the counters the solver publishes
-    // per solve and the engine attributes per shard.
-    type Field = (&'static str, fn(&tpot_engine::Stats) -> u64);
-    const FIELDS: [Field; 6] = [
-        ("sat.solves", |s| s.sat_solves),
-        ("sat.conflicts", |s| s.sat_conflicts),
-        ("sat.decisions", |s| s.sat_decisions),
-        ("sat.propagations", |s| s.sat_propagations),
-        ("sat.restarts", |s| s.sat_restarts),
-        ("sat.learned_clauses", |s| s.sat_learned),
-    ];
-    let before: Vec<u64> = FIELDS
-        .iter()
-        .map(|(k, _)| tpot_obs::metrics::counter(k).get())
-        .collect();
-    let results = v.verify(&VerifyOptions::new().jobs(jobs).steal_seed(seed));
-    for (i, (key, field)) in FIELDS.iter().enumerate() {
-        let global = tpot_obs::metrics::counter(key).get() - before[i];
-        let attributed: u64 = results.iter().map(|r| field(&r.stats)).sum();
-        if attributed != global {
-            return Err(format!(
-                "counter conservation violated for {key} (jobs {jobs}, steal seed {seed:#x}): \
-                 per-POT sum {attributed} != global delta {global}\nprogram:\n{src}"
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// One round: generate a module, verify it sequentially and with a random
 /// worker count + steal seed, and demand identical outcome keys.
 pub fn sched_parity(rng: &mut Rng) -> Result<(), String> {

@@ -119,10 +119,6 @@ pub struct Config {
     /// the engine's default (off — tracking costs a scan per learned
     /// clause).
     pub blame: Option<bool>,
-    /// Live status snapshot path (`TPOT_STATUS`): the path scheduler
-    /// periodically rewrites this file (atomic temp+rename, like every
-    /// other sink) with the in-flight POTs, path counts and queue depths.
-    pub status_path: Option<PathBuf>,
     /// Path-tree profile output (`TPOT_PROFILE`): after a verify run the
     /// driver writes the fork tree weighted by exclusive solver time in
     /// collapsed-stack (flamegraph) format to this path.
@@ -191,7 +187,6 @@ impl Config {
             inprocess: toggle("TPOT_INPROCESS"),
             proof: toggle("TPOT_PROOF"),
             blame: toggle("TPOT_BLAME"),
-            status_path: path("TPOT_STATUS"),
             profile_path: path("TPOT_PROFILE"),
             cache_dir: path("TPOT_CACHE_DIR"),
             cache_max_mb: std::env::var("TPOT_CACHE_MAX_MB")
@@ -270,9 +265,8 @@ pub(crate) fn obs() -> &'static Obs {
 }
 
 /// Replaces the active configuration (programmatic override of the
-/// environment — used by tests and the parity harnesses). Does not clear
-/// already-collected events or metrics; see [`take_events`] and
-/// [`metrics::reset`].
+/// environment — used by tests and the benchmark). Does not clear
+/// already-collected events or metrics; see [`take_events`].
 pub fn configure(cfg: Config) {
     let o = obs();
     o.tracing.store(cfg.tracing(), Ordering::Relaxed);
@@ -424,9 +418,9 @@ pub fn flush() -> std::io::Result<()> {
 
 /// Writes `data` to `path` via a uniquely-named sibling temp file and an
 /// atomic rename — the discipline every sink in this crate uses, exported
-/// for sinks maintained by other crates (the scheduler's `TPOT_STATUS`
-/// snapshot, the driver's `TPOT_PROFILE` output). Concurrent writers never
-/// leave a torn file; the last complete write wins.
+/// for sinks maintained by other crates (the driver's `TPOT_PROFILE`
+/// output). Concurrent writers never leave a torn file; the last complete
+/// write wins.
 pub fn write_atomic(path: &std::path::Path, data: &str) -> std::io::Result<()> {
     static FLUSH_SEQ: AtomicU64 = AtomicU64::new(0);
     let tmp = PathBuf::from(format!(

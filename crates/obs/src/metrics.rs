@@ -3,9 +3,12 @@
 //! Process-wide and always on (an atomic add per record — cheap enough to
 //! never gate), but only *exported* when `TPOT_METRICS` is set or a
 //! harness calls [`to_json`]. This registry holds the process-wide
-//! counters of every subsystem; the engine's per-POT `Stats` record
-//! remains the per-POT view and is mirrored in here per run (see
-//! `tpot-engine`).
+//! counters of every subsystem, and each counted fact has one writer. The
+//! engine's per-POT `Stats` record is published here once per finished
+//! POT (`engine.*`, `solver.session.*`; see `tpot-engine`). The one
+//! deliberate overlap is `sat.*`: the SAT core adds every solve's delta
+//! itself, and that total is the independent reference the per-POT
+//! `sat_*` attribution is checked against.
 //!
 //! Histograms use 64 log₂ buckets: bucket *i* counts observations `v`
 //! with `ceil(log2(v+1)) == i`, i.e. bucket 0 is `v == 0`, bucket 1 is
@@ -245,23 +248,6 @@ pub fn to_json() -> String {
     .render()
 }
 
-/// Zeroes every registered counter and histogram (parity harnesses that
-/// compare two phases of one process).
-pub fn reset() {
-    let reg = registry().lock().unwrap();
-    for c in reg.counters.values() {
-        c.store(0, Ordering::Relaxed);
-    }
-    for h in reg.histograms.values() {
-        for b in &h.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        h.count.store(0, Ordering::Relaxed);
-        h.sum.store(0, Ordering::Relaxed);
-        h.max.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_roundtrip_and_reset() {
+    fn registry_roundtrip() {
         counter("test.counter").add(7);
         histogram("test.hist").observe(42);
         let dump = crate::json::parse(&to_json()).unwrap();
@@ -308,7 +294,5 @@ mod tests {
             h.and_then(|h| h.get("count")).and_then(|v| v.as_f64()),
             Some(1.0)
         );
-        reset();
-        assert_eq!(counter("test.counter").get(), 0);
     }
 }

@@ -37,13 +37,7 @@ use tpot_sat::SolveStats;
 use tpot_smt::{TermArena, TermId};
 use tpot_solver::{SmtResult, SolveSession, SolverConfig, SolverError};
 
-use tpot_obs::metrics::LazyCounter;
-
 pub use tpot_proofcache::{fnv1a, mix, CachedOutcome, PotEntry, ProofCache};
-
-static SESSION_HITS: LazyCounter = LazyCounter::new("solver.session.hit");
-static SESSION_MISSES: LazyCounter = LazyCounter::new("solver.session.miss");
-static SESSION_REBLASTED: LazyCounter = LazyCounter::new("solver.session.reblasted_terms");
 
 /// Sessions a broker keeps between queries unless told otherwise.
 const SESSION_CAP: usize = 8;
@@ -71,7 +65,9 @@ pub fn solver_config_digest(cfg: &SolverConfig) -> u64 {
 }
 
 /// What a portfolio did since its owner last drained [`Portfolio::counts`]
-/// (the engine does, with `std::mem::take`, at every attribution boundary).
+/// (the engine does, with `std::mem::take`, at every attribution boundary,
+/// and publishes the sums once per POT as `engine.cache_*` and
+/// `solver.session.*`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Counts {
     /// Queries answered straight from the persistent proof cache (no
@@ -202,12 +198,10 @@ impl SessionBroker {
             // session would pay pops and GC for nothing.
             Some((i, l)) if l > 0 || prefix.is_empty() => {
                 counts.session_hits += 1;
-                SESSION_HITS.add(1);
                 (i, l, true)
             }
             _ => {
                 counts.session_misses += 1;
-                SESSION_MISSES.add(1);
                 if self.cap == 0 {
                     return solve_once(config, arena, prefix, extra, need_model, counts);
                 }
@@ -254,9 +248,7 @@ impl SessionBroker {
                 }
                 entry.session.check_assuming(arena, &[extra], need_model)
             })();
-            let delta = entry.session.terms_blasted() - before;
-            counts.reblasted_terms += delta;
-            SESSION_REBLASTED.add(delta);
+            counts.reblasted_terms += entry.session.terms_blasted() - before;
             counts.sat.add(entry.session.sat_stats().delta(sat0));
             result
         };
@@ -336,7 +328,6 @@ fn solve_once(
         .assert_many(arena, prefix)
         .and_then(|()| session.check_assuming(arena, &[extra], need_model));
     counts.reblasted_terms += session.terms_blasted();
-    SESSION_REBLASTED.add(session.terms_blasted());
     counts.sat.add(session.sat_stats());
     result
 }

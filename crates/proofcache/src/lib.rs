@@ -22,11 +22,13 @@
 //! Writes use the repo's atomic discipline (merge with concurrent
 //! flushers, temp file + rename); the in-memory map is bounded by an LRU
 //! byte budget (`TPOT_CACHE_MAX_MB`) with evictions counted in the
-//! `solver.cache.*` metrics registry. The file format is line-oriented
-//! text (`q`/`p` records, format tag `v2`); files written by the pre-digest
-//! v1 format are deliberately *not* migrated — their entries carry no
-//! config digest, so reusing them would be exactly the bug this crate
-//! exists to prevent.
+//! `solver.cache.evictions` metric. Query-table lookups are counted by
+//! their caller (the engine publishes `engine.cache_{hits,misses}` per
+//! POT); POT-table lookups here, as `solver.cache.pot_{hits,misses}`.
+//! The file format is line-oriented text (`q`/`p` records, format tag
+//! `v2`); files written by the pre-digest v1 format are deliberately *not*
+//! migrated — their entries carry no config digest, so reusing them would
+//! be exactly the bug this crate exists to prevent.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -35,8 +37,6 @@ use tpot_api::CacheStatsWire;
 use tpot_obs::json::{self, Value};
 use tpot_obs::metrics::LazyCounter;
 
-static HITS: LazyCounter = LazyCounter::new("solver.cache.hits");
-static MISSES: LazyCounter = LazyCounter::new("solver.cache.misses");
 static EVICTIONS: LazyCounter = LazyCounter::new("solver.cache.evictions");
 static POT_HITS: LazyCounter = LazyCounter::new("solver.cache.pot_hits");
 static POT_MISSES: LazyCounter = LazyCounter::new("solver.cache.pot_misses");
@@ -182,12 +182,10 @@ impl ProofCache {
                 self.clock += 1;
                 slot.stamp = self.clock;
                 self.hits += 1;
-                HITS.add(1);
                 Some(slot.value)
             }
             None => {
                 self.misses += 1;
-                MISSES.add(1);
                 None
             }
         }

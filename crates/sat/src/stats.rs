@@ -8,8 +8,7 @@
 //! ([`Solver::solve_totals`](crate::Solver::solve_totals)), which the
 //! session layer reads before and after a check to attribute SAT work to
 //! the POT and path that issued it. The invariant `sum of attributed deltas
-//! == global delta` is what the `counter_parity` fuzz mode and the engine's
-//! `pkvm_invariants` test check.
+//! == global delta` is what the engine's `pkvm_invariants` test checks.
 
 /// Snapshot of one solver instance's cumulative counters (or a delta
 /// between two snapshots — the fields are plain sums either way).

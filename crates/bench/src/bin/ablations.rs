@@ -8,7 +8,7 @@
 use std::time::Instant;
 
 use tpot_bench::fmt_dur;
-use tpot_engine::{AddrMode, EngineConfig, Verifier};
+use tpot_engine::{AddrMode, EngineConfig, Stats, Verifier};
 
 fn fig5_module() -> tpot_ir::Module {
     let src = r#"
@@ -26,11 +26,11 @@ void spec__incr_p1(void) {
     tpot_ir::lower(&tpot_cfront::compile(src).unwrap()).unwrap()
 }
 
-fn run(m: &tpot_ir::Module, cfg: EngineConfig, pot: &str) -> (bool, std::time::Duration, u64) {
+fn run(m: &tpot_ir::Module, cfg: EngineConfig, pot: &str) -> (bool, std::time::Duration, Stats) {
     let v = Verifier::with_config(m.clone(), cfg);
     let t0 = Instant::now();
     let r = v.verify_pot(pot);
-    (r.status.is_proved(), t0.elapsed(), r.stats.num_queries)
+    (r.status.is_proved(), t0.elapsed(), r.stats)
 }
 
 fn main() {
@@ -44,8 +44,9 @@ fn main() {
             addr_mode: mode,
             ..EngineConfig::default()
         };
-        let (ok, d, q) = run(&m, cfg, "spec__incr_p1");
-        println!("  {name:<18} proved={ok}  time={}  queries={q}", fmt_dur(d));
+        let (ok, d, s) = run(&m, cfg, "spec__incr_p1");
+        let (d, q) = (fmt_dur(d), s.num_queries);
+        println!("  {name:<18} proved={ok}  time={d}  queries={q}");
     }
     println!();
     println!("Ablation 2: solver-aided query simplifier (§4.3)");
@@ -54,8 +55,9 @@ fn main() {
             simplifier: simp,
             ..EngineConfig::default()
         };
-        let (ok, d, q) = run(&m, cfg, "spec__incr_p1");
-        println!("  {name:<18} proved={ok}  time={}  queries={q}", fmt_dur(d));
+        let (ok, d, s) = run(&m, cfg, "spec__incr_p1");
+        let (d, q) = (fmt_dur(d), s.num_queries);
+        println!("  {name:<18} proved={ok}  time={d}  queries={q}");
     }
     println!();
     println!("Ablation 3: persistent query cache (§4.4) — cold vs warm CI run");
@@ -66,11 +68,9 @@ fn main() {
             cache_path: Some(cache.clone()),
             ..EngineConfig::default()
         };
-        let (ok, d, q) = run(&m, cfg, "spec__incr_p1");
-        println!(
-            "  {label:<6} cache       proved={ok}  time={}  queries={q}",
-            fmt_dur(d)
-        );
+        let (ok, d, s) = run(&m, cfg, "spec__incr_p1");
+        let (d, q, misses) = (fmt_dur(d), s.num_queries, s.cache_misses);
+        println!("  {label:<6} cache       proved={ok}  time={d}  queries={q}  misses={misses}");
     }
     let _ = std::fs::remove_file(&cache);
 }

@@ -78,7 +78,7 @@ pub struct PreprocessDelta {
 /// Incremental preprocessing state for a solve session.
 ///
 /// All rewrite caches and Ackermann maps persist, so a term preprocessed in
-/// an earlier check maps to the *same* rewritten term (and the same fresh
+/// an earlier check maps to the *same* rewritten term (and the same
 /// `sel!`/`uf!`/`k!int` variables) in every later check — which is what
 /// keeps the bit-blast cache downstream valid. Congruence axioms are
 /// instantiated pairwise exactly once per pair, tracked by per-array /
@@ -319,7 +319,13 @@ fn ackermannize_selects(
     Ok(r)
 }
 
-/// Replaces `f(args…)` applications by fresh variables.
+/// Replaces `f(args…)` applications by variables named after the rebuilt
+/// application (`uf!<f>!<app id>`).
+///
+/// Preprocessing runs in the engine's arena, so it never draws from the
+/// arena's fresh-name counter: a query answered from the proof cache skips
+/// preprocessing, and a counter draw here would rename every later engine
+/// variable of the POT, and so change every later query's fingerprint.
 fn ackermannize_ufs(
     arena: &mut TermArena,
     t: TermId,
@@ -342,7 +348,7 @@ fn ackermannize_ufs(
         } else {
             let ret = arena.func(f).ret.clone();
             let fname = arena.func(f).name.clone();
-            let v = arena.fresh_var(&format!("uf!{fname}"), ret);
+            let v = arena.var(&format!("uf!{fname}!{}", rebuilt.0), ret);
             app_map.insert(rebuilt, v);
             app_info.entry(f).or_default().push((args, v));
             v
@@ -356,7 +362,9 @@ fn ackermannize_ufs(
     Ok(r)
 }
 
-/// Purifies integer `ite`s and lowers integer relations to `≤`-atoms.
+/// Purifies integer `ite`s into variables named after the `ite` they
+/// replace (`k!int!<ite id>`; no fresh names, see [`ackermannize_ufs`])
+/// and lowers integer relations to `≤`-atoms.
 fn lower_ints(
     arena: &mut TermArena,
     t: TermId,
@@ -373,7 +381,7 @@ fn lower_ints(
     }
     let r = match &node.kind {
         Kind::Ite if node.sort == Sort::Int => {
-            let v = arena.fresh_var("k!int", Sort::Int);
+            let v = arena.var(&format!("k!int!{}", t.0), Sort::Int);
             let eq_t = arena.eq(v, args[1]);
             let eq_t = lower_int_eq(arena, eq_t);
             let eq_e = arena.eq(v, args[2]);

@@ -121,12 +121,6 @@ pub struct Stats {
     pub sat_restarts: u64,
     /// Learned clauses attributed to this POT/path.
     pub sat_learned: u64,
-    /// SAT variables removed by bounded variable elimination.
-    pub sat_eliminated_vars: u64,
-    /// Clauses removed by subsumption.
-    pub sat_subsumed: u64,
-    /// Literals removed by vivification and self-subsumption strengthening.
-    pub sat_vivified_lits: u64,
     /// DRAT proof lines emitted (0 unless `TPOT_PROOF` is on).
     pub sat_proof_lines: u64,
 }
@@ -145,9 +139,6 @@ impl Stats {
         self.sat_propagations += d.propagations;
         self.sat_restarts += d.restarts;
         self.sat_learned += d.learned;
-        self.sat_eliminated_vars += d.eliminated_vars;
-        self.sat_subsumed += d.subsumed;
-        self.sat_vivified_lits += d.vivified_lits;
         self.sat_proof_lines += d.proof_lines;
     }
 
@@ -209,9 +200,6 @@ impl Stats {
         self.sat_propagations += o.sat_propagations;
         self.sat_restarts += o.sat_restarts;
         self.sat_learned += o.sat_learned;
-        self.sat_eliminated_vars += o.sat_eliminated_vars;
-        self.sat_subsumed += o.sat_subsumed;
-        self.sat_vivified_lits += o.sat_vivified_lits;
         self.sat_proof_lines += o.sat_proof_lines;
     }
 
@@ -250,7 +238,7 @@ impl Stats {
         counter("solver.session.miss").add(self.session_misses);
         counter("solver.session.reblasted_terms").add(self.session_reblasted_terms);
         // The sat_* fields are deltas of counters the SAT cores already
-        // publish (`sat.eliminated_vars`, …); re-adding them here would
+        // publish (`sat.conflicts`, …); re-adding them here would
         // double-count in the registry dump.
     }
 

@@ -1,7 +1,7 @@
 //! The pKVM smoke POTs keep their verdicts, and the engine keeps its
 //! accounting, under every run mode that changes how they are solved,
 //! scheduled or observed: one-shot sessions, path workers and steal seeds,
-//! inprocessing off, span collection and blame tracking.
+//! span collection and blame tracking.
 //!
 //! One `#[test]` in a binary of its own: `tpot_obs::configure` and the
 //! `sat.*` registry deltas read below are process-wide, so no other test
@@ -147,14 +147,6 @@ fn pkvm_smoke_pots_keep_verdicts_and_accounting_in_every_mode() {
             }
         }
     }
-
-    // Inprocessing off decides the same.
-    tpot_obs::configure(ObsConfig {
-        inprocess: Some(false),
-        ..ObsConfig::default()
-    });
-    let plain = run(&m, EngineConfig::default(), 1, None);
-    assert_eq!(outcomes(&plain), want, "inprocessing off");
 
     // Collecting spans decides the same, and the solver/query spans cover
     // at least 95% of the solver time `Stats` measured (a span also wraps

@@ -96,11 +96,10 @@ fn persistent_round_trip_replays_with_full_hit_rate() {
 }
 
 /// Entries written by a `TPOT_INCREMENTAL=1`-shaped run (incremental solve
-/// sessions on — the configuration under which inprocessing-era
-/// simplifications are recorded) must not be consumed by a
-/// `TPOT_INCREMENTAL=0` run: the engine salt folds the toggle into the
-/// cache key, so the second run sees only misses rather than replaying
-/// outcomes produced under a different solver pipeline.
+/// sessions on) must not be consumed by a `TPOT_INCREMENTAL=0` run: the
+/// engine salt folds the toggle into the cache key, so the second run sees
+/// only misses rather than replaying outcomes produced under a different
+/// solver pipeline.
 #[test]
 fn non_incremental_run_cannot_consume_incremental_entries() {
     let path = cache_file("cfg_isolation");

@@ -208,18 +208,15 @@ pub fn incremental_vs_oneshot(
 /// Proof-checked solving: every Unsat answer must come with a DRAT proof
 /// the independent RUP checker accepts.
 ///
-/// Runs the query one-shot with `config.sat.proof` forced on (and
-/// inprocessing on, so elimination/strengthening/vivification steps appear
-/// in the proof); the solver layer replays the proof through
-/// `tpot_sat::proof` on every Unsat and surfaces rejection as
-/// `SolverError::ProofCheckFailed`, which this harness reports as the
-/// discrepancy. Sat answers validate the model under `eval`, so the mode is
+/// Runs the query one-shot with `config.sat.proof` forced on; the solver
+/// layer replays the proof through `tpot_sat::proof` on every Unsat and
+/// surfaces rejection as `SolverError::ProofCheckFailed`, which this
+/// harness reports as the discrepancy. Sat answers validate the model under `eval`, so the mode is
 /// an oracle on both verdicts: Unsat answers are machine-checked, Sat
 /// answers are witness-checked.
 pub fn proof_checked(arena: &mut TermArena, assertions: &[TermId]) -> Result<Agreement, String> {
     let mut config = SolverConfig::default();
     config.sat.proof = true;
-    config.sat.inprocess = true;
     let res = SmtSolver::new(config)
         .check(arena, assertions)
         .map_err(|e| format!("proof-checked solve: {e}"))?;

@@ -40,8 +40,7 @@ pub enum Mode {
     /// interleavings) vs from-scratch one-shot checks.
     IncrementalOneshot,
     /// Every Unsat answer emits a DRAT proof the independent RUP checker
-    /// must accept (with inprocessing on, so elimination/strengthening
-    /// steps are part of the checked proof).
+    /// must accept.
     ProofChecked,
     /// Work-stealing scheduler: same random module verified with 1 worker
     /// and with N workers + a fresh steal seed must yield identical

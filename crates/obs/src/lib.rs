@@ -105,10 +105,6 @@ pub struct Config {
     /// Incremental solve sessions in the engine (`TPOT_INCREMENTAL`,
     /// `0|false|off` / `1|true|on`); `None` = the engine's default (on).
     pub incremental: Option<bool>,
-    /// SAT inprocessing — bounded variable elimination, subsumption and
-    /// vivification between solves (`TPOT_INPROCESS`); `None` = the
-    /// solver's default (on).
-    pub inprocess: Option<bool>,
     /// DRAT proof logging in the SAT core (`TPOT_PROOF`); `None` = the
     /// solver's default (off — logging costs memory proportional to the
     /// number of learned clauses).
@@ -184,7 +180,6 @@ impl Config {
                 .ok()
                 .and_then(|v| v.trim().parse().ok()),
             incremental: toggle("TPOT_INCREMENTAL"),
-            inprocess: toggle("TPOT_INPROCESS"),
             proof: toggle("TPOT_PROOF"),
             blame: toggle("TPOT_BLAME"),
             profile_path: path("TPOT_PROFILE"),

@@ -14,7 +14,7 @@
 //!    outcomes by `(query fingerprint, config digest)`. The digest
 //!    ([`solver_config_digest`], plus an engine-level salt installed through
 //!    [`Portfolio::with_config_salt`]) folds every semantically relevant
-//!    knob — inprocessing, restart schedule, conflict budgets, theory
+//!    knob — restart schedule, default phase, conflict budgets, theory
 //!    limits — so an outcome recorded under one solver configuration can
 //!    never answer a query issued under a different one. The cache sits
 //!    behind a `parking_lot::Mutex` so parallel POT verification shares one
@@ -49,13 +49,12 @@ pub type SharedCache = Arc<Mutex<ProofCache>>;
 /// Digest of a solver configuration's semantically relevant knobs.
 ///
 /// Folds every knob that changes *which answers the solver can give* —
-/// inprocessing, restart schedule, conflict and theory budgets — and
+/// restart schedule, default phase, conflict and theory budgets — and
 /// deliberately excludes the decision seed: it never affects a Sat/Unsat
 /// verdict (an `Unknown` is never cached), so keying on it would only
 /// fragment the cache.
 pub fn solver_config_digest(cfg: &SolverConfig) -> u64 {
     let mut h = fnv1a(b"tpot-solver-config/v1");
-    h = mix(h, cfg.sat.inprocess as u64);
     h = mix(h, cfg.sat.restart_base);
     h = mix(h, cfg.sat.conflict_limit.map_or(u64::MAX, |n| n));
     h = mix(h, cfg.sat.default_phase as u64);
@@ -553,9 +552,9 @@ mod tests {
         assert!(check(&mut p1, &mut a, &q, false).unwrap().is_unsat());
         assert_eq!(p1.counts.cache_misses, 1);
 
-        let mut inproc_off = SolverConfig::default();
-        inproc_off.sat.inprocess = !inproc_off.sat.inprocess;
-        let mut p2 = Portfolio::new(inproc_off).with_shared_cache(cache.clone());
+        let mut budgeted = SolverConfig::default();
+        budgeted.sat.conflict_limit = Some(100_000);
+        let mut p2 = Portfolio::new(budgeted).with_shared_cache(cache.clone());
         assert_ne!(p1.config_digest(), p2.config_digest());
         assert!(check(&mut p2, &mut a, &q, false).unwrap().is_unsat());
         assert_eq!(p2.counts.cache_hits, 0, "different digest must miss");
@@ -584,12 +583,9 @@ mod tests {
         let mut reseeded = base.clone();
         reseeded.sat.seed = 12345;
         assert_eq!(solver_config_digest(&base), solver_config_digest(&reseeded));
-        let mut inproc_off = base.clone();
-        inproc_off.sat.inprocess = !inproc_off.sat.inprocess;
-        assert_ne!(
-            solver_config_digest(&base),
-            solver_config_digest(&inproc_off)
-        );
+        let mut budgeted = base.clone();
+        budgeted.sat.conflict_limit = Some(100_000);
+        assert_ne!(solver_config_digest(&base), solver_config_digest(&budgeted));
     }
 
     #[test]

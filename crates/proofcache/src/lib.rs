@@ -7,7 +7,7 @@
 //!   sat | unsat`. The fingerprint is the FNV-1a hash of the
 //!   serialize-once SMT-LIB text (PR 1); the config digest folds in every
 //!   knob that picks *which solver pipeline* produced the outcome (address
-//!   encoding, incremental sessions, inprocessing, clause-DB tiering, …)
+//!   encoding, incremental sessions, restart schedule, conflict budgets, …)
 //!   so a hit can never cross incompatible configurations. Before this
 //!   crate the cache was keyed by fingerprint alone — latent while the
 //!   cache lived and died with one process, a live bug the moment it

@@ -20,14 +20,8 @@ pub struct SatConfig {
     pub conflict_limit: Option<u64>,
     /// Learned-clause database reduction threshold factor.
     pub learntsize_factor: f64,
-    /// Inprocessing between solves: bounded variable elimination,
-    /// subsumption/self-subsumption and clause vivification
-    /// (`TPOT_INPROCESS`). Frozen variables (the bit-blaster's interface
-    /// bits, activation literals, assumptions) are never eliminated, so
-    /// incremental sessions stay sound.
-    pub inprocess: bool,
-    /// DRAT proof logging (`TPOT_PROOF`). Every learned, strengthened and
-    /// deleted clause is recorded; [`crate::Solver::check_proof`] replays
+    /// DRAT proof logging (`TPOT_PROOF`). Every input, learned and deleted
+    /// clause is recorded; [`crate::Solver::check_proof`] replays
     /// the log through the independent RUP checker.
     pub proof: bool,
     /// Blame tracking (`TPOT_BLAME`): count, per *tracked* variable (the
@@ -49,7 +43,6 @@ impl Default for SatConfig {
             default_phase: false,
             conflict_limit: None,
             learntsize_factor: 1.0 / 3.0,
-            inprocess: obs.inprocess.unwrap_or(true),
             proof: obs.proof.unwrap_or(false),
             blame: obs.blame.unwrap_or(false),
         }

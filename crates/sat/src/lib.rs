@@ -13,15 +13,11 @@
 //!   (core / mid / local) and aggressive local-tier reduction,
 //! - solving under assumptions (used by the SMT layer for theory-guided
 //!   queries),
-//! - inprocessing between solves: bounded variable elimination with model
-//!   reconstruction, subsumption/self-subsumption, clause vivification
-//!   ([`inprocess`]),
 //! - DRAT proof logging with an independent RUP checker ([`proof`], and the
 //!   `drat_check` binary for proofs produced by other solvers).
 
 pub mod config;
 pub mod dimacs;
-pub mod inprocess;
 pub mod proof;
 pub mod solver;
 pub mod stats;

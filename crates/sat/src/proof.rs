@@ -6,11 +6,11 @@
 //! - [`ProofStep::Input`] — a clause asserted by the caller (an axiom; the
 //!   CNF side of a DRAT refutation).
 //! - [`ProofStep::Add`] — a clause the solver claims follows from what came
-//!   before: learned clauses, inprocessing resolvents, strengthened
-//!   clauses, and the final clause of an unsatisfiability answer (the empty
-//!   clause, or the negated assumptions).
+//!   before: learned clauses, input clauses strengthened to units by
+//!   root-false literals, and the final clause of an unsatisfiability
+//!   answer (the empty clause, or the negated assumptions).
 //! - [`ProofStep::Delete`] — a clause the solver forgot (database
-//!   reduction, scope GC, elimination).
+//!   reduction, scope GC).
 //!
 //! Every `Add` the solver emits is *reverse unit propagation* (RUP): its
 //! negation unit-propagates to a conflict against the clauses alive at that

@@ -76,30 +76,30 @@ pub enum SatResult {
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Assign {
+enum Assign {
     Undef,
     True,
     False,
 }
 
 #[derive(Clone, Debug)]
-pub(crate) struct Clause {
-    pub(crate) lits: Vec<Lit>,
-    pub(crate) learnt: bool,
-    pub(crate) activity: f64,
+struct Clause {
+    lits: Vec<Lit>,
+    learnt: bool,
+    activity: f64,
     /// Literal-block distance (glue): number of distinct decision levels in
     /// the clause when learned, refreshed (keeping the minimum) whenever the
     /// clause participates in conflict analysis. 0 for problem clauses.
-    pub(crate) lbd: u32,
+    lbd: u32,
     /// Participated in conflict analysis since the last database reduction
     /// (mid-tier clauses are kept while this holds, demoted when idle).
-    pub(crate) used: bool,
+    used: bool,
 }
 
 #[derive(Clone, Copy)]
-pub(crate) struct Watcher {
-    pub(crate) clause: u32,
-    pub(crate) blocker: Lit,
+struct Watcher {
+    clause: u32,
+    blocker: Lit,
 }
 
 /// The CDCL SAT solver.
@@ -121,49 +121,29 @@ pub(crate) struct Watcher {
 /// solve session to another worker (path-level work stealing).
 #[derive(Clone)]
 pub struct Solver {
-    pub(crate) config: SatConfig,
-    pub(crate) clauses: Vec<Clause>,
-    pub(crate) watches: Vec<Vec<Watcher>>, // indexed by literal
-    pub(crate) assigns: Vec<Assign>,       // indexed by var
-    pub(crate) phase: Vec<bool>,           // saved phase per var
-    pub(crate) level: Vec<u32>,            // decision level per var
-    pub(crate) reason: Vec<Option<u32>>,   // reason clause per var
-    pub(crate) trail: Vec<Lit>,
-    pub(crate) trail_lim: Vec<usize>,
-    pub(crate) qhead: usize,
+    config: SatConfig,
+    clauses: Vec<Clause>,
+    watches: Vec<Vec<Watcher>>, // indexed by literal
+    assigns: Vec<Assign>,       // indexed by var
+    phase: Vec<bool>,           // saved phase per var
+    level: Vec<u32>,            // decision level per var
+    reason: Vec<Option<u32>>,   // reason clause per var
+    trail: Vec<Lit>,
+    trail_lim: Vec<usize>,
+    qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
     clause_inc: f64,
     order_heap: Vec<Var>, // lazy binary heap keyed by activity
     heap_index: Vec<i32>,
-    pub(crate) ok: bool,
+    ok: bool,
     rng: u64,
     conflicts: u64,
-    /// Interface variables that inprocessing must never eliminate: the
-    /// bit-blaster's term/atom bits, activation literals, and every
-    /// variable ever passed as an assumption.
-    pub(crate) frozen: Vec<bool>,
-    /// Variables removed by bounded variable elimination. They appear in no
-    /// clause and are never branched on; their model values are rebuilt
-    /// from `elim_stack` after every Sat answer.
-    pub(crate) eliminated: Vec<bool>,
-    /// Reconstruction stack: for each eliminated variable, the original
-    /// (non-learnt) clauses it occurred in, pushed in elimination order.
-    pub(crate) elim_stack: Vec<(Var, Vec<Vec<Lit>>)>,
-    /// Bumped whenever an inprocessing pass eliminates variables; callers
-    /// holding literal caches (the bit-blaster) compare epochs to know when
-    /// to drop entries that mention eliminated variables.
-    pub(crate) elim_epoch: u64,
     /// Maintained count of learnt clauses in `clauses` (the reduction
     /// trigger — kept exact so the solve loop never rescans the database).
-    pub(crate) num_learnt: usize,
-    /// External clause additions since the last inprocessing pass.
-    pub(crate) adds_since_inprocess: usize,
-    /// Rotation pointer so successive vivification passes resume where the
-    /// previous one stopped instead of rescanning the same prefix.
-    pub(crate) viv_head: usize,
+    num_learnt: usize,
     /// DRAT proof log, present when `SatConfig::proof` is set.
-    pub(crate) proof: Option<Box<ProofLog>>,
+    proof: Option<Box<ProofLog>>,
     /// Scratch stamp per decision level for O(len) LBD computation.
     lbd_seen: Vec<u64>,
     lbd_stamp: u64,
@@ -178,14 +158,6 @@ pub struct Solver {
     /// Statistics: total clauses learned from conflicts (including
     /// unit-length learnt clauses, which are enqueued rather than stored).
     pub num_learned: u64,
-    /// Statistics: variables removed by bounded variable elimination.
-    pub num_eliminated_vars: u64,
-    /// Statistics: clauses removed by (self-)subsumption.
-    pub num_subsumed: u64,
-    /// Statistics: literals removed by vivification and strengthening.
-    pub num_vivified_lits: u64,
-    /// Statistics: inprocessing passes run.
-    pub num_inprocess_passes: u64,
     /// Statistics: completed `solve` calls.
     pub num_solves: u64,
     /// Sum of every `solve` call's counter delta: the in-search work the
@@ -237,13 +209,7 @@ impl Solver {
             ok: true,
             rng,
             conflicts: 0,
-            frozen: Vec::new(),
-            eliminated: Vec::new(),
-            elim_stack: Vec::new(),
-            elim_epoch: 0,
             num_learnt: 0,
-            adds_since_inprocess: 0,
-            viv_head: 0,
             proof,
             // One slot per possible decision level: num_vars + 1 (new_var
             // pushes one more per variable).
@@ -254,10 +220,6 @@ impl Solver {
             num_conflicts: 0,
             num_restarts: 0,
             num_learned: 0,
-            num_eliminated_vars: 0,
-            num_subsumed: 0,
-            num_vivified_lits: 0,
-            num_inprocess_passes: 0,
             num_solves: 0,
             solved: SolveStats::default(),
             tracked: Vec::new(),
@@ -276,9 +238,6 @@ impl Solver {
             propagations: self.num_propagations,
             restarts: self.num_restarts,
             learned: self.num_learned,
-            eliminated_vars: self.num_eliminated_vars,
-            subsumed: self.num_subsumed,
-            vivified_lits: self.num_vivified_lits,
             proof_lines: self.proof_lines(),
         }
     }
@@ -346,39 +305,12 @@ impl Solver {
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.heap_index.push(-1);
-        self.frozen.push(false);
-        self.eliminated.push(false);
         self.lbd_seen.push(0);
         self.heap_insert(v);
         v
     }
 
-    /// Marks `v` as an interface variable that inprocessing must keep:
-    /// variable elimination skips it forever. Callers freeze every variable
-    /// whose meaning outlives the clause database — the bit-blaster's term
-    /// bits and atom literals, activation literals, and assumptions.
-    pub fn freeze(&mut self, v: Var) {
-        self.frozen[v.0 as usize] = true;
-    }
-
-    /// True if `v` is frozen against elimination.
-    pub fn is_frozen(&self, v: Var) -> bool {
-        self.frozen[v.0 as usize]
-    }
-
-    /// True if `v` was removed by variable elimination.
-    pub fn is_eliminated(&self, v: Var) -> bool {
-        self.eliminated[v.0 as usize]
-    }
-
-    /// Elimination epoch: bumped once per inprocessing pass that eliminates
-    /// at least one variable. Literal-cache holders compare this against a
-    /// remembered value to decide when to purge entries.
-    pub fn elim_epoch(&self) -> u64 {
-        self.elim_epoch
-    }
-
-    pub(crate) fn value_lit(&self, l: Lit) -> Assign {
+    fn value_lit(&self, l: Lit) -> Assign {
         match self.assigns[l.var().0 as usize] {
             Assign::Undef => Assign::Undef,
             Assign::True => {
@@ -409,15 +341,9 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        debug_assert!(
-            lits.iter().all(|&l| !self.eliminated[l.var().0 as usize]),
-            "clause mentions an eliminated variable — caller must re-blast \
-             after an elimination epoch change"
-        );
         if let Some(p) = self.proof.as_mut() {
             p.log_input(lits);
         }
-        self.adds_since_inprocess += 1;
         let mut ls: Vec<Lit> = lits.to_vec();
         ls.sort_unstable();
         ls.dedup();
@@ -462,7 +388,7 @@ impl Solver {
         }
     }
 
-    pub(crate) fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> u32 {
+    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> u32 {
         let idx = self.clauses.len() as u32;
         let w0 = lits[0];
         let w1 = lits[1];
@@ -488,20 +414,13 @@ impl Solver {
     }
 
     /// Appends an `Add` line to the proof log, if logging is on.
-    pub(crate) fn log_add(&mut self, lits: &[Lit]) {
+    fn log_add(&mut self, lits: &[Lit]) {
         if let Some(p) = self.proof.as_mut() {
             p.log_add(lits);
         }
     }
 
-    /// Appends a `Delete` line to the proof log, if logging is on.
-    pub(crate) fn log_delete(&mut self, lits: &[Lit]) {
-        if let Some(p) = self.proof.as_mut() {
-            p.log_delete(lits);
-        }
-    }
-
-    pub(crate) fn unchecked_enqueue(&mut self, l: Lit, reason: Option<u32>) {
+    fn unchecked_enqueue(&mut self, l: Lit, reason: Option<u32>) {
         let v = l.var().0 as usize;
         debug_assert_eq!(self.assigns[v], Assign::Undef);
         self.assigns[v] = if l.is_pos() {
@@ -515,7 +434,7 @@ impl Solver {
         self.trail.push(l);
     }
 
-    pub(crate) fn propagate(&mut self) -> Option<u32> {
+    fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -678,7 +597,7 @@ impl Solver {
     /// Computes the literal-block distance of a clause: the number of
     /// distinct decision levels among its (assigned) literals. Uses a
     /// per-level stamp so each call is O(len) with no allocation.
-    pub(crate) fn compute_lbd(&mut self, lits: &[Lit]) -> u32 {
+    fn compute_lbd(&mut self, lits: &[Lit]) -> u32 {
         self.lbd_stamp += 1;
         let stamp = self.lbd_stamp;
         let mut lbd = 0u32;
@@ -801,7 +720,7 @@ impl Solver {
         }
     }
 
-    pub(crate) fn backtrack(&mut self, level: u32) {
+    fn backtrack(&mut self, level: u32) {
         if (self.trail_lim.len() as u32) <= level {
             return;
         }
@@ -834,13 +753,13 @@ impl Solver {
             if r < self.config.random_decision_freq && !self.order_heap.is_empty() {
                 let i = (self.next_rand() as usize) % self.order_heap.len();
                 let v = self.order_heap[i];
-                if self.assigns[v.0 as usize] == Assign::Undef && !self.eliminated[v.0 as usize] {
+                if self.assigns[v.0 as usize] == Assign::Undef {
                     return Some(Lit::new(v, self.phase[v.0 as usize]));
                 }
             }
         }
         while let Some(v) = self.heap_pop() {
-            if self.assigns[v.0 as usize] == Assign::Undef && !self.eliminated[v.0 as usize] {
+            if self.assigns[v.0 as usize] == Assign::Undef {
                 return Some(Lit::new(v, self.phase[v.0 as usize]));
             }
         }
@@ -900,7 +819,7 @@ impl Solver {
     /// Shared by learnt-clause reduction ([`Solver::reduce_db`]) and the
     /// scope GC used by incremental sessions
     /// ([`Solver::purge_level0_satisfied`]).
-    pub(crate) fn purge(&mut self, remove: &[bool]) {
+    fn purge(&mut self, remove: &[bool]) {
         if let Some(p) = self.proof.as_mut() {
             for (i, c) in self.clauses.iter().enumerate() {
                 if remove[i] {
@@ -930,7 +849,7 @@ impl Solver {
     /// Rebuilds every watch list from clause positions 0/1 wholesale. The
     /// caller must guarantee the watch invariant for those positions
     /// (non-false at root, or the clause root-satisfied).
-    pub(crate) fn rebuild_watches(&mut self) {
+    fn rebuild_watches(&mut self) {
         for w in &mut self.watches {
             w.clear();
         }
@@ -997,19 +916,7 @@ impl Solver {
         // with zero cost on the inner loops.
         let before = self.stats();
         self.last_core = None;
-        // Assumption variables must survive elimination: their truth value
-        // is the caller's interface. Frozen permanently — sessions reuse
-        // the same activation/atom literals across solves.
-        for &a in assumptions {
-            self.freeze(a.var());
-        }
-        if self.config.inprocess {
-            self.maybe_inprocess();
-        }
         let result = self.solve_inner(assumptions);
-        if result == SatResult::Sat {
-            self.reconstruct_model();
-        }
         self.num_solves += 1;
         let delta = self.stats().delta(before);
         {
@@ -1019,9 +926,6 @@ impl Solver {
             counter("sat.restarts").add(delta.restarts);
             counter("sat.learned_clauses").add(delta.learned);
             counter("sat.propagations").add(delta.propagations);
-            counter("sat.eliminated_vars").add(delta.eliminated_vars);
-            counter("sat.subsumed").add(delta.subsumed);
-            counter("sat.vivified_lits").add(delta.vivified_lits);
             counter("sat.proof_lines").add(delta.proof_lines);
             let (core, mid, local) = self.db_tier_counts();
             histogram("sat.db.core").observe(core as u64);
@@ -1084,65 +988,6 @@ impl Solver {
                 "final clause {fin:?} is neither empty nor over negated assumptions"
             ))
         }
-    }
-
-    /// Extends the current model over eliminated variables, walking the
-    /// reconstruction stack in reverse elimination order: each variable is
-    /// set false unless one of its saved original clauses would otherwise
-    /// be unsatisfied. Saved clauses mention only the variable itself and
-    /// variables eliminated later (already reconstructed) or never, so the
-    /// reverse walk is well-founded.
-    fn reconstruct_model(&mut self) {
-        for k in (0..self.elim_stack.len()).rev() {
-            let v = self.elim_stack[k].0;
-            debug_assert_eq!(self.assigns[v.0 as usize], Assign::Undef);
-            let pos = Lit::pos(v);
-            let mut value = false;
-            for ci in 0..self.elim_stack[k].1.len() {
-                let forced = {
-                    let cl = &self.elim_stack[k].1[ci];
-                    cl.contains(&pos)
-                        && cl
-                            .iter()
-                            .all(|&l| l.var() == v || self.model_value(l.var()) != l.is_pos())
-                };
-                if forced {
-                    value = true;
-                    break;
-                }
-            }
-            // model_value reads the saved phase for unassigned variables.
-            self.phase[v.0 as usize] = value;
-        }
-    }
-
-    /// Runs an inprocessing pass when the database is big enough for a
-    /// sweep to plausibly pay for itself and enough new clauses arrived
-    /// since the last one. Small databases solve in microseconds — a pass
-    /// (occurrence build + budgeted vivification) costs more than the
-    /// search it would save, measured end-to-end on the pKVM query mix —
-    /// so they are exempt regardless of growth.
-    fn maybe_inprocess(&mut self) {
-        const MIN_CLAUSES: usize = 5000;
-        if !self.ok || self.clauses.len() < MIN_CLAUSES {
-            return;
-        }
-        let threshold = (self.clauses.len() / 4).max(512);
-        if self.adds_since_inprocess < threshold {
-            return;
-        }
-        self.run_inprocess();
-        self.adds_since_inprocess = 0;
-    }
-
-    /// Forces an inprocessing pass now (tests and harnesses); returns
-    /// `false` if the database became trivially unsatisfiable.
-    pub fn inprocess_now(&mut self) -> bool {
-        if self.ok {
-            self.run_inprocess();
-            self.adds_since_inprocess = 0;
-        }
-        self.ok
     }
 
     /// Final-conflict analysis (MiniSat's `analyzeFinal`): `failed` is an
@@ -1568,11 +1413,7 @@ mod tests {
         // Learn on a hard instance, then hammer reduce_db: every learnt
         // clause in the core tier (LBD ≤ LBD_CORE, or binary) must survive
         // arbitrarily many reductions.
-        let cfg = SatConfig {
-            inprocess: false,
-            ..SatConfig::default()
-        };
-        let mut s = Solver::new(cfg);
+        let mut s = Solver::default();
         for _ in 0..20 {
             s.new_var();
         }
@@ -1684,10 +1525,9 @@ mod tests {
     }
 
     #[test]
-    fn proof_survives_incremental_solves_with_inprocessing() {
+    fn proof_survives_incremental_solves() {
         let cfg = SatConfig {
             proof: true,
-            inprocess: true,
             ..SatConfig::default()
         };
         let mut s = Solver::new(cfg);
@@ -1700,12 +1540,12 @@ mod tests {
             s.add_clause(&[lit(-i), lit(i + 1), act.negate()]);
         }
         assert_eq!(s.solve(&[act, lit(1)]), SatResult::Sat);
-        // Force many adds so maybe_inprocess triggers, then an unsat query.
+        // A clause added between solves makes the same assumptions Unsat.
         s.add_clause(&[lit(-11), act.negate()]);
-        let _ = s.inprocess_now();
         let asms = [act, lit(1)];
         assert_eq!(s.solve(&asms), SatResult::Unsat);
-        s.check_proof(&asms).expect("proof across inprocessing");
+        s.check_proof(&asms)
+            .expect("proof across incremental solves");
     }
 
     #[test]

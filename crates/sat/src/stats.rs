@@ -26,12 +26,6 @@ pub struct SolveStats {
     pub restarts: u64,
     /// Clauses learned from conflicts.
     pub learned: u64,
-    /// Variables removed by bounded variable elimination.
-    pub eliminated_vars: u64,
-    /// Clauses removed by (self-)subsumption.
-    pub subsumed: u64,
-    /// Literals removed by vivification and strengthening.
-    pub vivified_lits: u64,
     /// DRAT proof-log lines emitted.
     pub proof_lines: u64,
 }
@@ -47,9 +41,6 @@ impl SolveStats {
             propagations: self.propagations.saturating_sub(earlier.propagations),
             restarts: self.restarts.saturating_sub(earlier.restarts),
             learned: self.learned.saturating_sub(earlier.learned),
-            eliminated_vars: self.eliminated_vars.saturating_sub(earlier.eliminated_vars),
-            subsumed: self.subsumed.saturating_sub(earlier.subsumed),
-            vivified_lits: self.vivified_lits.saturating_sub(earlier.vivified_lits),
             proof_lines: self.proof_lines.saturating_sub(earlier.proof_lines),
         }
     }
@@ -62,9 +53,6 @@ impl SolveStats {
         self.propagations += other.propagations;
         self.restarts += other.restarts;
         self.learned += other.learned;
-        self.eliminated_vars += other.eliminated_vars;
-        self.subsumed += other.subsumed;
-        self.vivified_lits += other.vivified_lits;
         self.proof_lines += other.proof_lines;
     }
 
@@ -87,9 +75,6 @@ mod tests {
             propagations: 100,
             restarts: 1,
             learned: 9,
-            eliminated_vars: 2,
-            subsumed: 4,
-            vivified_lits: 5,
             proof_lines: 30,
         };
         let mut b = a;

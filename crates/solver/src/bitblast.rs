@@ -54,10 +54,6 @@ pub struct BitBlaster {
     /// `bool_lit`). Sessions read the delta per check to attribute
     /// re-blasting work.
     pub terms_blasted: u64,
-    /// Last-seen [`Solver::elim_epoch`]; when the solver's inprocessing
-    /// eliminates variables, cache entries mentioning them are purged by
-    /// [`Self::sync_eliminated`].
-    elim_epoch: u64,
 }
 
 const G_AND: u8 = 0;
@@ -76,35 +72,7 @@ impl BitBlaster {
             lia: IncLia::new(),
             atom_cache: HashMap::new(),
             terms_blasted: 0,
-            elim_epoch: 0,
         }
-    }
-
-    /// Drops cache entries that mention variables eliminated by the SAT
-    /// solver's inprocessing since the last call.
-    ///
-    /// Interface variables (term bits, boolean variables, theory atoms, the
-    /// constant-true literal) are frozen at creation and can never be
-    /// eliminated — only internal Tseitin gate variables can. Purging the
-    /// stale gate entries (and any term entry whose bits flow through one)
-    /// keeps the invariant that every literal handed out by the caches is
-    /// live in the solver; the affected terms simply re-blast with fresh
-    /// gates on next use. Sessions call this before every assert/check.
-    pub fn sync_eliminated(&mut self) {
-        let epoch = self.sat.elim_epoch();
-        if epoch == self.elim_epoch {
-            return;
-        }
-        self.elim_epoch = epoch;
-        let sat = &self.sat;
-        self.bv_cache
-            .retain(|_, bits| bits.iter().all(|l| !sat.is_eliminated(l.var())));
-        self.bool_cache.retain(|_, l| !sat.is_eliminated(l.var()));
-        self.gate_cache.retain(|&(_, a, b), g| {
-            !sat.is_eliminated(a.var())
-                && !sat.is_eliminated(b.var())
-                && !sat.is_eliminated(g.var())
-        });
     }
 
     /// The constant-true literal (lazily created with a unit clause).
@@ -112,9 +80,7 @@ impl BitBlaster {
         if let Some(l) = self.true_lit {
             return l;
         }
-        let v = self.sat.new_var();
-        self.sat.freeze(v);
-        let l = Lit::pos(v);
+        let l = Lit::pos(self.sat.new_var());
         self.sat.add_clause(&[l]);
         self.true_lit = Some(l);
         l
@@ -400,15 +366,7 @@ impl BitBlaster {
             .ok_or_else(|| SolverError::Unsupported(format!("bv_bits on sort {}", node.sort)))?;
         let bits: Vec<Lit> = match &node.kind {
             Kind::BvConst(v) => self.const_vec(*v, w),
-            Kind::Var(_) => (0..w)
-                .map(|_| {
-                    // Interface bits: frozen so inprocessing can never
-                    // eliminate them out from under the cache.
-                    let v = self.sat.new_var();
-                    self.sat.freeze(v);
-                    Lit::pos(v)
-                })
-                .collect(),
+            Kind::Var(_) => (0..w).map(|_| Lit::pos(self.sat.new_var())).collect(),
             Kind::BvNeg => {
                 let a = self.bv_bits(arena, node.args[0])?;
                 self.neg_vec(&a)
@@ -526,11 +484,7 @@ impl BitBlaster {
         let l: Lit = match &node.kind {
             Kind::True => self.lit_true(),
             Kind::False => self.lit_false(),
-            Kind::Var(_) => {
-                let v = self.sat.new_var();
-                self.sat.freeze(v);
-                Lit::pos(v)
-            }
+            Kind::Var(_) => Lit::pos(self.sat.new_var()),
             Kind::Not => self.bool_lit(arena, node.args[0])?.negate(),
             Kind::And => {
                 let lits: Vec<Lit> = node
@@ -620,13 +574,9 @@ impl BitBlaster {
                         if let Some(&l) = self.atom_cache.get(&t) {
                             l
                         } else {
-                            // Theory atoms participate in blocking clauses
-                            // and explanations; they must stay frozen.
                             let id = self.lia.register(&atom)?;
                             debug_assert_eq!(id, self.atoms.len());
-                            let v = self.sat.new_var();
-                            self.sat.freeze(v);
-                            let l = Lit::pos(v);
+                            let l = Lit::pos(self.sat.new_var());
                             self.atoms.push(l);
                             self.atom_cache.insert(t, l);
                             l

@@ -181,10 +181,6 @@ impl SolveSession {
     /// Opens a new assertion scope.
     pub fn push(&mut self) {
         let v = self.bb.sat.new_var();
-        // Activation literals appear in assumptions and as clause guards;
-        // inprocessing must never eliminate them, or popped scopes could
-        // resurrect constraints through resolvents.
-        self.bb.sat.freeze(v);
         if self.config.sat.blame {
             // Count learned clauses mentioning this scope's guard — the
             // conflict-participation signal behind proof-effort blame.
@@ -219,9 +215,6 @@ impl SolveSession {
         arena: &mut TermArena,
         terms: &[TermId],
     ) -> Result<(), SolverError> {
-        // Inprocessing may have eliminated gate variables since the last
-        // call; drop the stale cache entries before handing out literals.
-        self.bb.sync_eliminated();
         let delta = {
             let _span = tpot_obs::span("solver", "preprocess");
             self.pre.process(arena, terms)?
@@ -266,7 +259,6 @@ impl SolveSession {
     ) -> Result<SmtResult, SolverError> {
         self.stats.checks += 1;
         self.last_unsat = None;
-        self.bb.sync_eliminated();
         let mut assumps: Vec<Lit> = self.scopes.iter().map(|s| s.act).collect();
         if !assumptions.is_empty() {
             // Assumption terms are lowered like assertions — their
@@ -728,14 +720,13 @@ mod tests {
     }
 
     #[test]
-    fn proof_checked_session_with_inprocessing() {
+    fn proof_checked_session_across_scopes() {
         // Every Unsat in this session is machine-checked (config.sat.proof):
-        // a ProofCheckFailed would surface as Err from check(). Bitvector
-        // terms generate eliminable Tseitin gates, so inprocessing and the
-        // epoch-synced cache purge get exercised across scopes.
+        // a ProofCheckFailed would surface as Err from check(). Each round
+        // pushes a scope and refutes it, replaying the whole log, which by
+        // then holds the scope-GC deletions of every earlier pop.
         let mut cfg = SolverConfig::default();
         cfg.sat.proof = true;
-        cfg.sat.inprocess = true;
         let mut a = TermArena::new();
         let x = a.var("x", Sort::BitVec(16));
         let y = a.var("y", Sort::BitVec(16));

@@ -41,7 +41,7 @@ pub use types::{StructLayouts, Type};
 
 /// Convenience: preprocess, lex, parse and type-check a translation unit.
 pub fn compile(source: &str) -> Result<CheckedProgram, FrontError> {
-    let _span = tpot_obs::span_args("cfront", "compile", &[("bytes", source.len().to_string())]);
+    let _span = tpot_obs::span_args("cfront", "compile", &[("bytes", &source.len())]);
     let pre = pp::preprocess(source).map_err(FrontError::Pp)?;
     let tokens = lexer::lex(&pre).map_err(FrontError::Lex)?;
     let program = parser::parse(tokens).map_err(FrontError::Parse)?;

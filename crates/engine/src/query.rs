@@ -122,9 +122,9 @@ impl QueryCtx {
             "solver",
             "query",
             &[
-                ("purpose", purpose.name().to_string()),
-                ("fingerprint", format!("{fp:016x}")),
-                ("asserts", assertions.len().to_string()),
+                ("purpose", &purpose.name()),
+                ("fingerprint", &format_args!("{fp:016x}")),
+                ("asserts", &assertions.len()),
             ],
         );
         let _watch = tpot_obs::watchdog::register(fp, text);

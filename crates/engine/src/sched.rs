@@ -291,13 +291,13 @@ impl<'m> Sched<'m> {
             "engine",
             "episode",
             &[
-                ("pot", pr.name.clone()),
-                ("pid", task.pid.to_string()),
+                ("pot", &pr.name),
+                ("pid", &task.pid),
                 (
                     "phase",
                     match task.phase {
-                        TaskPhase::Body => "body".to_string(),
-                        TaskPhase::EndCheck => "end_check".to_string(),
+                        TaskPhase::Body => &"body",
+                        TaskPhase::EndCheck => &"end_check",
                     },
                 ),
             ],
@@ -466,10 +466,7 @@ impl<'m> Sched<'m> {
             let _sp = tpot_obs::span_args(
                 "sched",
                 "steal",
-                &[
-                    ("victim", victim.to_string()),
-                    ("stolen", stolen.len().to_string()),
-                ],
+                &[("victim", &victim), ("stolen", &stolen.len())],
             );
             tpot_obs::metrics::counter("sched.steals").inc();
             tpot_obs::metrics::histogram("sched.queue_depth").observe(depth as u64);
@@ -497,6 +494,12 @@ impl<'m> Sched<'m> {
             }
             tpot_obs::metrics::counter("sched.migrations").add(moved);
             tpot_obs::metrics::counter("sched.shard_splits").add(splits.len() as u64);
+            // Drop the victims' shard handles before the tasks show up in
+            // this deque. The last handle frees a whole arena and its
+            // sessions (tens of ms on pKVM); while that ran with the tasks
+            // already parked here, an idle victim stole them back, and the
+            // two workers could pass one task to and fro for seconds.
+            drop(splits);
             if mine.is_empty() {
                 continue;
             }

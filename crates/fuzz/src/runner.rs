@@ -265,14 +265,7 @@ fn run_one(mode: Mode, seed: u64, iter: u64) -> Result<Agreement, Box<Failure>> 
 }
 
 pub fn run(cfg: &RunConfig) -> FuzzReport {
-    let _span = tpot_obs::span_args(
-        "fuzz",
-        "run",
-        &[
-            ("iters", cfg.iters.to_string()),
-            ("seed", cfg.seed.to_string()),
-        ],
-    );
+    let _span = tpot_obs::span_args("fuzz", "run", &[("iters", &cfg.iters), ("seed", &cfg.seed)]);
     let t0 = Instant::now();
     let mut stats: Vec<(Mode, ModeStats)> = cfg
         .modes

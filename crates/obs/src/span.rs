@@ -11,6 +11,7 @@
 //! carries its engine context (POT, path, purpose) with it.
 
 use std::cell::RefCell;
+use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::{now_us, push_event, tracing_enabled};
@@ -82,16 +83,17 @@ pub fn span(cat: &'static str, name: &str) -> Span {
     span_args(cat, name, &[])
 }
 
-/// Opens a span with key/value arguments. When tracing is disabled this
-/// costs one relaxed atomic load and allocates nothing.
+/// Opens a span with key/value arguments. The values are formatted only
+/// when tracing is enabled; when it is disabled this costs one relaxed
+/// atomic load and allocates nothing.
 #[inline]
-pub fn span_args(cat: &'static str, name: &str, args: &[(&str, String)]) -> Span {
+pub fn span_args(cat: &'static str, name: &str, args: &[(&str, &dyn Display)]) -> Span {
     if !tracing_enabled() {
         return Span { active: false };
     }
     let args: Vec<(String, String)> = args
         .iter()
-        .map(|(k, v)| (k.to_string(), v.clone()))
+        .map(|(k, v)| (k.to_string(), v.to_string()))
         .collect();
     STACK.with(|s| s.borrow_mut().push((cat, name.to_string(), args.clone())));
     push_event(Event {

@@ -52,9 +52,13 @@ fn concurrent_workers_flush_and_watchdog() {
         .map(|w| {
             std::thread::spawn(move || {
                 for i in 0..64 {
-                    let _ep = span_args("engine", "episode", &[("pot", format!("pot_{w}"))]);
+                    let _ep = span_args("engine", "episode", &[("pot", &format_args!("pot_{w}"))]);
                     instant("engine", "path_done", &[("pid", format!("{i}"))]);
-                    let _q = span_args("solver", "check", &[("fingerprint", format!("{i:x}"))]);
+                    let _q = span_args(
+                        "solver",
+                        "check",
+                        &[("fingerprint", &format_args!("{i:x}"))],
+                    );
                 }
             })
         })

@@ -23,14 +23,17 @@ fn spans_roundtrip_and_well_formedness() {
         .map(|w| {
             std::thread::spawn(move || {
                 for i in 0..8 {
-                    let _outer =
-                        span_args("engine", "verify_pot", &[("pot", format!("pot_{w}_{i}"))]);
+                    let _outer = span_args(
+                        "engine",
+                        "verify_pot",
+                        &[("pot", &format_args!("pot_{w}_{i}"))],
+                    );
                     instant("engine", "fork", &[("path", format!("{i}"))]);
                     {
                         let _inner = span_args(
                             "solver",
                             "check",
-                            &[("fingerprint", format!("{:016x}", w * 100 + i))],
+                            &[("fingerprint", &format_args!("{:016x}", w * 100 + i))],
                         );
                     }
                 }
@@ -82,7 +85,7 @@ fn spans_roundtrip_and_well_formedness() {
     // Phase 4: with tracing disabled, span sites collect nothing.
     configure(ObsConfig::default());
     {
-        let _s = span_args("engine", "verify_pot", &[("pot", "p".into())]);
+        let _s = span_args("engine", "verify_pot", &[("pot", &"p")]);
         instant("engine", "fork", &[]);
     }
     assert!(take_events().is_empty());

@@ -113,9 +113,10 @@ pub struct BrokerUnsat {
 ///
 /// Consecutive queries along one symbolic-execution path share a growing
 /// assertion prefix; the broker routes each query to the live session with
-/// the longest common prefix, pops the session down to the shared part, and
-/// pushes only what is new — so the solver re-lowers (and re-learns) only
-/// the delta. All sessions operate directly on the caller's term arena;
+/// the longest common prefix, pops the session down to the shared part
+/// with one [`SolveSession::pop_to`] (one scope GC, however many scopes
+/// go), and pushes only what is new — so the solver re-lowers (and
+/// re-learns) only the delta. All sessions operate directly on the caller's term arena;
 /// a broker must therefore only ever see queries from **one** arena (the
 /// engine satisfies this structurally: one arena, one `QueryCtx`, one
 /// portfolio per shard). `Clone` duplicates every live session — the
@@ -228,18 +229,13 @@ impl SessionBroker {
             let _span = tpot_obs::span_args(
                 "solver",
                 "session",
-                &[
-                    ("lcp", lcp.to_string()),
-                    ("prefix", prefix.len().to_string()),
-                ],
+                &[("lcp", &lcp), ("prefix", &prefix.len())],
             );
             let before = entry.session.terms_blasted();
             let sat0 = entry.session.sat_stats();
             let result = (|| {
-                while entry.prefix.len() > lcp {
-                    entry.session.pop();
-                    entry.prefix.pop();
-                }
+                entry.session.pop_to(lcp);
+                entry.prefix.truncate(lcp);
                 for &t in &prefix[lcp..] {
                     entry.session.push();
                     entry.session.assert(arena, t)?;
@@ -320,7 +316,7 @@ fn solve_once(
     let _span = tpot_obs::span_args(
         "solver",
         "session",
-        &[("lcp", "0".into()), ("prefix", prefix.len().to_string())],
+        &[("lcp", &0), ("prefix", &prefix.len())],
     );
     let mut session = SolveSession::new(config.clone());
     let result = session

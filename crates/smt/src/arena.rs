@@ -1030,10 +1030,7 @@ impl TermArena {
         let _span = tpot_obs::span_args(
             "smt",
             "slice",
-            &[
-                ("roots", roots.len().to_string()),
-                ("arena_terms", self.len().to_string()),
-            ],
+            &[("roots", &roots.len()), ("arena_terms", &self.len())],
         );
         let mut out = TermArena {
             funcs: self.funcs.clone(),

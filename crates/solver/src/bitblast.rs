@@ -49,7 +49,8 @@ pub struct BitBlaster {
     pub atoms: Vec<Lit>,
     /// The LIA context every theory atom is registered with.
     pub(crate) lia: IncLia,
-    atom_cache: HashMap<TermId, Lit>,
+    /// `IntLe` term → its atom id (index into `atoms`).
+    atom_cache: HashMap<TermId, usize>,
     /// Number of terms lowered to CNF (cache misses in `bv_bits` /
     /// `bool_lit`). Sessions read the delta per check to attribute
     /// re-blasting work.
@@ -571,14 +572,14 @@ impl BitBlaster {
                     Some(true) => self.lit_true(),
                     Some(false) => self.lit_false(),
                     None => {
-                        if let Some(&l) = self.atom_cache.get(&t) {
-                            l
+                        if let Some(&id) = self.atom_cache.get(&t) {
+                            self.atoms[id]
                         } else {
                             let id = self.lia.register(&atom)?;
                             debug_assert_eq!(id, self.atoms.len());
                             let l = Lit::pos(self.sat.new_var());
                             self.atoms.push(l);
-                            self.atom_cache.insert(t, l);
+                            self.atom_cache.insert(t, id);
                             l
                         }
                     }
@@ -623,6 +624,67 @@ impl BitBlaster {
     pub fn bool_model_value(&self, t: TermId) -> Option<bool> {
         let l = self.bool_cache.get(&t)?;
         Some(self.sat.model_value(l.var()) == l.is_pos())
+    }
+
+    /// The theory atoms that the SAT model's values of `roots` rest on, as
+    /// `(atom id, polarity)` in atom order. Call it after a Sat answer and
+    /// before any clause is added.
+    ///
+    /// The walk reads each Boolean term's model value through its literal. A
+    /// true `Or` or `Implies`, or a false `And`, follows one child that fixes
+    /// that value; an `Ite` follows its condition and the branch taken; every
+    /// other term follows all of its children. Each reached term's value is
+    /// then a function of the reached leaves alone, so a model that agrees
+    /// with the SAT model on its variables and gives the reached atoms their
+    /// polarities gives every root its literal's value.
+    pub(crate) fn relevant_atoms(
+        &self,
+        arena: &TermArena,
+        roots: &[&[TermId]],
+    ) -> Vec<(usize, bool)> {
+        let value = |t: TermId| self.bool_model_value(t);
+        let mut seen = vec![0u64; arena.len().div_ceil(64)];
+        let mut stack: Vec<TermId> = roots.concat();
+        let mut ids: Vec<usize> = Vec::new();
+        while let Some(t) = stack.pop() {
+            let (word, bit) = (t.index() / 64, 1u64 << (t.index() % 64));
+            if seen[word] & bit != 0 {
+                continue;
+            }
+            seen[word] |= bit;
+            let node = arena.term(t);
+            let args = &node.args;
+            let one = |want: bool| args.iter().copied().find(|&a| value(a) == Some(want));
+            let follow = match node.kind {
+                Kind::IntLe => {
+                    ids.extend(self.atom_cache.get(&t));
+                    continue;
+                }
+                Kind::Or if value(t) == Some(true) => one(true),
+                Kind::And if value(t) == Some(false) => one(false),
+                Kind::Implies if value(t) == Some(true) => Some(if value(args[0]) == Some(false) {
+                    args[0]
+                } else {
+                    args[1]
+                }),
+                Kind::Ite => value(args[0]).map(|c| {
+                    stack.push(args[0]);
+                    args[if c { 1 } else { 2 }]
+                }),
+                _ => None,
+            };
+            match follow {
+                Some(a) => stack.push(a),
+                None => stack.extend_from_slice(args),
+            }
+        }
+        ids.sort_unstable();
+        ids.into_iter()
+            .map(|id| {
+                let l = self.atoms[id];
+                (id, self.sat.model_value(l.var()) == l.is_pos())
+            })
+            .collect()
     }
 
     /// Iterates the bitvector cache (used for model reconstruction).

@@ -243,7 +243,7 @@ impl IncLia {
         config: &LiaConfig,
     ) -> Result<LiaOutcome, SolverError> {
         LIA_CALLS.add(1);
-        let _span = tpot_obs::span_args("solver", "lia", &[("atoms", lits.len().to_string())]);
+        let _span = tpot_obs::span_args("solver", "lia", &[("atoms", &lits.len())]);
         self.warm.clear_bounds();
         if let Some(c) = assert_bounds(&mut self.warm, &self.atoms, lits)? {
             return Ok(finish_conflict(c, lits.len()));

@@ -16,11 +16,27 @@
 //!
 //! # The DPLL(T) round
 //!
-//! A round is one SAT solve followed by theory checks of the model's atoms.
+//! A round is one SAT solve followed by theory checks of the atoms the model
+//! relies on. The session's roots are every term it asserted unguarded
+//! (base-scope assertions and every preprocessing definition, popped scopes'
+//! included), each open scope's assertions, and the check's assumptions.
+//! After each SAT model the session walks the term DAG from the roots,
+//! reading Boolean values through the blaster's literals: a true `Or` or
+//! `Implies`, or a false `And`, is followed into one child that fixes its
+//! value, an `Ite` into its condition and the branch taken, and every other
+//! term into all of its children. Only the `IntLe` atoms the walk reaches
+//! are checked (relevancy, as in Z3's DPLL(T) core), so atoms of popped
+//! scopes and of untaken branches cost nothing.
+//!
 //! When the simplex finds a conflict, the session learns its blocking clause,
 //! drops the conflict's newest atom and checks the rest again, so one model
 //! yields every conflict it shows before the next SAT solve. The answer is
-//! Sat only when a check over every atom is.
+//! Sat only when a check over every relevant atom is: every root then
+//! evaluates true from the SAT model's Boolean and bitvector values and the
+//! checked atoms' integer model, whatever the unchecked atoms' polarities.
+//! Models are partial: an integer variable that no checked atom mentions is
+//! left out, and [`tpot_smt::eval()`] reads it as 0. Unsat answers rest on
+//! blocking clauses, which are theory-valid whatever atoms they name.
 //!
 //! # Scope semantics
 //!
@@ -29,10 +45,13 @@
 //! `act`; a term asserted at that depth becomes the clause `(lit ∨ ¬act)`,
 //! which is vacuous unless `act` is assumed. Every `check` passes the
 //! activation literals of all open scopes as SAT assumptions, so exactly the
-//! live scopes' assertions are in force. `pop` retires a scope by adding the
-//! permanent unit `¬act` — its guarded clauses become satisfied — and then
-//! runs [`tpot_sat::Solver::purge_level0_satisfied`] to physically reclaim
-//! them.
+//! live scopes' assertions are in force. [`SolveSession::pop_to`] retires
+//! every scope above a depth by adding the permanent unit `¬act` for each —
+//! their guarded clauses become satisfied — and then runs
+//! [`tpot_sat::Solver::purge_level0_satisfied`] once to physically reclaim
+//! them; `pop` is `pop_to` for one scope. The scan of the clause database
+//! and the rebuild of every watch list are paid once per prefix move, not
+//! once per popped scope.
 //!
 //! # Why retaining clauses across `pop` is sound
 //!
@@ -67,15 +86,15 @@ use crate::smt::SmtResult;
 pub struct SessionStats {
     /// Number of `check`/`check_assuming` calls.
     pub checks: u64,
-    /// Number of `pop` calls.
+    /// Number of scopes popped.
     pub pops: u64,
-    /// Clauses physically reclaimed by scope GC on `pop`.
+    /// Clauses physically reclaimed by scope GC on `pop` and `pop_to`.
     pub clauses_gced: u64,
 }
 
 /// How a theory round over one SAT model ended.
 enum TheoryRound {
-    /// Every atom is consistent; the integer model of the check.
+    /// Every checked atom is consistent; the integer model of the check.
     Sat(HashMap<TermId, i128>),
     /// The theory gave up before any conflict was learned.
     Unknown,
@@ -86,7 +105,7 @@ enum TheoryRound {
 }
 
 /// One open assertion scope.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 struct Scope {
     /// Activation literal assumed by every check while the scope is open.
     act: Lit,
@@ -95,6 +114,8 @@ struct Scope {
     /// summing `scope_hits` across a session's Unsat answers counts each
     /// learned clause once.
     hits_reported: u64,
+    /// Lowered forms of the terms asserted in this scope.
+    assertions: Vec<TermId>,
 }
 
 /// Proof-effort attribution of the most recent Unsat answer
@@ -138,6 +159,9 @@ pub struct SolveSession {
     bb: BitBlaster,
     pre: IncPreprocess,
     scopes: Vec<Scope>,
+    /// Every term asserted unguarded: base-scope assertions and every
+    /// preprocessing definition, those of popped scopes included.
+    unguarded: Vec<TermId>,
     /// Lifetime counters.
     pub stats: SessionStats,
     /// Attribution of the most recent Unsat answer (`None` after Sat or
@@ -154,6 +178,7 @@ impl SolveSession {
             bb: BitBlaster::new(sat),
             pre: IncPreprocess::new(),
             scopes: Vec::new(),
+            unguarded: Vec::new(),
             stats: SessionStats::default(),
             last_unsat: None,
         }
@@ -189,6 +214,7 @@ impl SolveSession {
         self.scopes.push(Scope {
             act: Lit::pos(v),
             hits_reported: 0,
+            assertions: Vec::new(),
         });
     }
 
@@ -198,10 +224,25 @@ impl SolveSession {
     /// # Panics
     /// Panics if no scope is open (the base scope cannot be popped).
     pub fn pop(&mut self) {
-        let scope = self.scopes.pop().expect("pop on base scope");
-        self.bb.sat.add_clause(&[scope.act.negate()]);
+        let depth = self.depth().checked_sub(1).expect("pop on base scope");
+        self.pop_to(depth);
+    }
+
+    /// Closes every scope above `depth`, retiring their assertions, and
+    /// reclaims their clauses with one scope GC.
+    ///
+    /// # Panics
+    /// Panics if `depth` is greater than the current depth.
+    pub fn pop_to(&mut self, depth: usize) {
+        assert!(depth <= self.depth(), "pop_to above the current depth");
+        if depth == self.depth() {
+            return;
+        }
+        for scope in self.scopes.drain(depth..) {
+            self.bb.sat.add_clause(&[scope.act.negate()]);
+            self.stats.pops += 1;
+        }
         self.stats.clauses_gced += self.bb.sat.purge_level0_satisfied() as u64;
-        self.stats.pops += 1;
     }
 
     /// Asserts `t` in the current scope.
@@ -222,8 +263,15 @@ impl SolveSession {
         let _span = tpot_obs::span("solver", "bitblast");
         // Definitional constraints and theory axioms are scope-independent:
         // assert them unguarded so they survive `pop` (see module docs).
+        // Roots are recorded before their clauses exist, so an error part
+        // way leaves no clause that the relevancy walk cannot see.
+        self.unguarded.extend_from_slice(&delta.defs);
         for &d in &delta.defs {
             self.bb.assert_term(arena, d)?;
+        }
+        match self.scopes.last_mut() {
+            None => self.unguarded.extend_from_slice(&delta.assertions),
+            Some(s) => s.assertions.extend_from_slice(&delta.assertions),
         }
         let guard = self.scopes.last().map(|s| s.act.negate());
         for &a in &delta.assertions {
@@ -260,6 +308,8 @@ impl SolveSession {
         self.stats.checks += 1;
         self.last_unsat = None;
         let mut assumps: Vec<Lit> = self.scopes.iter().map(|s| s.act).collect();
+        // The lowered assumption terms: relevancy roots of this check only.
+        let mut assumed: Vec<TermId> = Vec::new();
         if !assumptions.is_empty() {
             // Assumption terms are lowered like assertions — their
             // definitional side constraints are permanent — but the top
@@ -269,12 +319,14 @@ impl SolveSession {
                 self.pre.process(arena, assumptions)?
             };
             let _span = tpot_obs::span("solver", "bitblast");
+            self.unguarded.extend_from_slice(&delta.defs);
             for &d in &delta.defs {
                 self.bb.assert_term(arena, d)?;
             }
             for &a in &delta.assertions {
                 assumps.push(self.bb.bool_lit(arena, a)?);
             }
+            assumed = delta.assertions;
         }
         let _span = tpot_obs::span("solver", "dpllt");
         let mut rounds = 0u64;
@@ -295,19 +347,13 @@ impl SolveSession {
             if self.bb.atoms.is_empty() {
                 return self.sat_result(arena, need_model, &HashMap::new());
             }
-            // Every theory atom under the SAT model. Atoms introduced by
-            // scopes popped since are still present; their literals are
-            // unconstrained, so the model (or saved phase) picks a polarity
-            // and the theory check treats them like any other atom — at
-            // worst this learns extra theory-valid blocking clauses.
-            let sat = &self.bb.sat;
-            let lits: Vec<(usize, bool)> = self
-                .bb
-                .atoms
-                .iter()
-                .map(|l| sat.model_value(l.var()) == l.is_pos())
-                .enumerate()
-                .collect();
+            // Only the atoms the live assertions' values rest on under this
+            // model. Atoms that only popped scopes or untaken branches
+            // mention are left out: whatever polarity the model gave them,
+            // no root's value depends on it.
+            let mut roots: Vec<&[TermId]> = vec![&self.unguarded, &assumed];
+            roots.extend(self.scopes.iter().map(|s| s.assertions.as_slice()));
+            let lits = self.bb.relevant_atoms(arena, &roots);
             match self.theory_round(lits)? {
                 TheoryRound::Sat(int_model) => {
                     return self.sat_result(arena, need_model, &int_model);
@@ -628,19 +674,35 @@ mod tests {
 
     #[test]
     fn pop_gc_reclaims_scoped_clauses() {
-        let mut a = TermArena::new();
-        let x = a.var("x", Sort::BitVec(8));
-        let mut s = session();
-        s.push();
-        for i in 0..8 {
-            let c = a.bv_const(8, i);
-            let ne = a.neq(x, c);
-            s.assert(&mut a, ne).unwrap();
+        // One scope closed by `pop`, then three closed by one `pop_to`.
+        for scopes in [1, 3] {
+            let mut a = TermArena::new();
+            let x = a.var("x", Sort::BitVec(8));
+            let mut s = session();
+            for k in 0..scopes {
+                s.push();
+                for i in 0..8 {
+                    let c = a.bv_const(8, 8 * k + i);
+                    let ne = a.neq(x, c);
+                    s.assert(&mut a, ne).unwrap();
+                }
+            }
+            assert!(s.check(&mut a, false).unwrap().is_sat());
+            if scopes == 1 {
+                s.pop();
+            } else {
+                s.pop_to(0);
+            }
+            assert_eq!(s.depth(), 0);
+            assert_eq!(s.stats.pops, scopes as u64);
+            // Each scope guarded one clause per assertion.
+            assert!(
+                s.stats.clauses_gced >= 8 * scopes as u64,
+                "scope GC must reclaim every popped scope's clauses: {:?}",
+                s.stats
+            );
+            assert!(s.check(&mut a, false).unwrap().is_sat());
         }
-        assert!(s.check(&mut a, false).unwrap().is_sat());
-        s.pop();
-        assert!(s.stats.clauses_gced > 0, "scope GC must reclaim clauses");
-        assert!(s.check(&mut a, false).unwrap().is_sat());
     }
 
     #[test]
@@ -824,7 +886,9 @@ mod tests {
     fn one_model_learns_every_conflict() {
         let mut cfg = SolverConfig::default();
         // Every decision sets its variable true, so the first model makes
-        // all four atoms true: x <= 0 ∧ x >= 5 and y <= 0 ∧ y >= 5.
+        // all four atoms and `p`, `q` true. `Or` arguments sort by
+        // `TermId` and the atoms are built first, so each root is justified
+        // by its atom: x <= 0 ∧ x >= 5 and y <= 0 ∧ y >= 5 are both checked.
         cfg.sat.default_phase = true;
         let mut a = TermArena::new();
         let x = a.var("ix", Sort::Int);
@@ -835,17 +899,84 @@ mod tests {
         let x_ge5 = a.int_le(c5, x);
         let y_le0 = a.int_le(y, c0);
         let y_ge5 = a.int_le(c5, y);
-        let any = a.or(&[x_le0, x_ge5, y_le0, y_ge5]);
+        let p = a.var("p", Sort::Bool);
+        let q = a.var("q", Sort::Bool);
+        let roots = [
+            a.or(&[x_le0, p]),
+            a.or(&[x_ge5, p]),
+            a.or(&[y_le0, q]),
+            a.or(&[y_ge5, q]),
+        ];
         let mut s = SolveSession::new(cfg);
-        s.assert(&mut a, any).unwrap();
+        s.assert_many(&mut a, &roots).unwrap();
         let before = s.sat_stats().solves;
         match s.check(&mut a, true).unwrap() {
-            SmtResult::Sat(m) => assert_model_satisfies(&a, &m, &[any]),
+            SmtResult::Sat(m) => assert_model_satisfies(&a, &m, &roots),
             other => panic!("expected sat: {other:?}"),
         }
         // Solve 1 shows both conflicts and learns both clauses; solve 2
         // finds a consistent model. One clause per solve would take three.
         assert_eq!(s.sat_stats().solves - before, 2);
+    }
+
+    /// Atoms that no live assertion's value rests on are not checked: each
+    /// row's first SAT model holds an atom that contradicts `5 ≤ x`, and
+    /// the answer still takes one SAT solve.
+    #[test]
+    fn irrelevant_atoms_are_not_checked() {
+        type Row = fn(&mut TermArena, &mut SolveSession) -> Vec<TermId>;
+        fn popped_scope(a: &mut TermArena, s: &mut SolveSession) -> Vec<TermId> {
+            let x = a.var("ix", Sort::Int);
+            let (c0, c5) = (a.int_const(0), a.int_const(5));
+            let dead = a.int_le(x, c0);
+            let live = a.int_le(c5, x);
+            s.push();
+            s.assert(a, dead).unwrap();
+            s.pop();
+            s.assert(a, live).unwrap();
+            vec![live]
+        }
+        fn untaken_disjunct(a: &mut TermArena, s: &mut SolveSession) -> Vec<TermId> {
+            // `b` first, so it sorts before the atom in the `Or`.
+            let b = a.var("b", Sort::Bool);
+            let x = a.var("ix", Sort::Int);
+            let (cm3, c5) = (a.int_const(-3), a.int_const(5));
+            let le = a.int_le(x, cm3);
+            let either = a.or(&[b, le]);
+            let live = a.int_le(c5, x);
+            s.assert_many(a, &[either, live]).unwrap();
+            vec![either, live]
+        }
+        fn untaken_branch(a: &mut TermArena, s: &mut SolveSession) -> Vec<TermId> {
+            let b = a.var("b", Sort::Bool);
+            let x = a.var("ix", Sort::Int);
+            let (c0, c5) = (a.int_const(0), a.int_const(5));
+            let ge5 = a.int_le(c5, x);
+            let le0 = a.int_le(x, c0);
+            let ite = a.ite(b, ge5, le0);
+            s.assert(a, ite).unwrap();
+            vec![ite]
+        }
+        let rows: [(&str, Row); 3] = [
+            ("popped scope", popped_scope),
+            ("untaken disjunct", untaken_disjunct),
+            ("untaken ite branch", untaken_branch),
+        ];
+        for (name, build) in rows {
+            let mut cfg = SolverConfig::default();
+            // Every decision sets its variable true, so the atom that only a
+            // dead scope or an untaken branch mentions is true as well.
+            cfg.sat.default_phase = true;
+            let mut a = TermArena::new();
+            let mut s = SolveSession::new(cfg);
+            let live = build(&mut a, &mut s);
+            let before = s.sat_stats().solves;
+            match s.check(&mut a, true).unwrap() {
+                SmtResult::Sat(m) => assert_model_satisfies(&a, &m, &live),
+                other => panic!("{name}: expected sat: {other:?}"),
+            }
+            assert_eq!(s.sat_stats().solves - before, 1, "{name}");
+        }
     }
 
     #[test]
